@@ -29,7 +29,6 @@ Client::Client(Client&& other) noexcept
       negotiatedVersion_(other.negotiatedVersion_),
       rbuf_(std::move(other.rbuf_)),
       rpos_(other.rpos_),
-      outQueue_(std::move(other.outQueue_)),
       pendingOps_(std::move(other.pendingOps_)),
       inflightBatchOps_(std::move(other.inflightBatchOps_)),
       placedBacklog_(std::move(other.placedBacklog_)),
@@ -44,7 +43,6 @@ Client& Client::operator=(Client&& other) noexcept {
     negotiatedVersion_ = other.negotiatedVersion_;
     rbuf_ = std::move(other.rbuf_);
     rpos_ = other.rpos_;
-    outQueue_ = std::move(other.outQueue_);
     pendingOps_ = std::move(other.pendingOps_);
     inflightBatchOps_ = std::move(other.inflightBatchOps_);
     placedBacklog_ = std::move(other.placedBacklog_);
@@ -232,10 +230,8 @@ Client::Batch& Client::Batch::depart(double time) {
 BatchOkFrame Client::Batch::send() { return client_->sendBatch(frame_); }
 
 BatchOkFrame Client::sendBatch(const BatchFrame& frame) {
-  if (negotiatedVersion_ < 2) {
-    throw std::logic_error(
-        "BATCH requires a v2 session (negotiated v" +
-        std::to_string(negotiatedVersion_) + "); call hello() first");
+  if (negotiatedVersion_ == 0) {
+    throw std::logic_error("BATCH requires a session; call hello() first");
   }
   if (frame.ops.size() > kMaxBatchOps) {
     throw std::logic_error("BATCH of " + std::to_string(frame.ops.size()) +
@@ -254,38 +250,31 @@ BatchOkFrame Client::sendBatch(const BatchFrame& frame) {
 // --- pipelined wrapper -----------------------------------------------------
 
 void Client::queuePlace(double size, double arrival, double departure) {
-  if (negotiatedVersion_ >= 2) {
-    BatchOp op;
-    op.kind = kBatchOpPlace;
-    op.place = PlaceFrame{size, arrival, departure};
-    pendingOps_.push_back(op);
-  } else {
-    appendPlace(outQueue_, PlaceFrame{size, arrival, departure});
-  }
+  BatchOp op;
+  op.kind = kBatchOpPlace;
+  op.place = PlaceFrame{size, arrival, departure};
+  pendingOps_.push_back(op);
   ++owedReplies_;
 }
 
 void Client::flushQueued() {
-  if (!pendingOps_.empty()) {
-    // Pack the staged ops into BATCH frames, kMaxBatchOps at a time, and
-    // remember each frame's op count for reply accounting.
-    std::size_t at = 0;
-    while (at < pendingOps_.size()) {
-      std::size_t take = pendingOps_.size() - at;
-      if (take > kMaxBatchOps) take = kMaxBatchOps;
-      BatchFrame frame;
-      frame.ops.assign(pendingOps_.begin() + static_cast<std::ptrdiff_t>(at),
-                       pendingOps_.begin() +
-                           static_cast<std::ptrdiff_t>(at + take));
-      appendBatch(outQueue_, frame);
-      inflightBatchOps_.push_back(take);
-      at += take;
-    }
-    pendingOps_.clear();
+  if (pendingOps_.empty()) return;
+  // Pack the staged ops into BATCH frames, kMaxBatchOps at a time, and
+  // remember each frame's op count for reply accounting.
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t at = 0; at < pendingOps_.size();) {
+    std::size_t take = pendingOps_.size() - at;
+    if (take > kMaxBatchOps) take = kMaxBatchOps;
+    BatchFrame frame;
+    frame.ops.assign(pendingOps_.begin() + static_cast<std::ptrdiff_t>(at),
+                     pendingOps_.begin() +
+                         static_cast<std::ptrdiff_t>(at + take));
+    appendBatch(bytes, frame);
+    inflightBatchOps_.push_back(take);
+    at += take;
   }
-  if (outQueue_.empty()) return;
-  sendAll(outQueue_.data(), outQueue_.size());
-  outQueue_.clear();
+  pendingOps_.clear();
+  sendAll(bytes.data(), bytes.size());
 }
 
 PlacedFrame Client::readPlaced() {
@@ -299,13 +288,7 @@ PlacedFrame Client::readPlaced() {
       throw std::logic_error("readPlaced() with no queued PLACE outstanding");
     }
     if (inflightBatchOps_.empty()) {
-      // v1 path: one PLACED per queued PLACE.
-      PlacedFrame placed;
-      if (!decodePlaced(expectFrame(FrameType::kPlaced).view(), placed)) {
-        throw std::runtime_error("undecodable PLACED reply");
-      }
-      --owedReplies_;
-      return placed;
+      throw std::logic_error("readPlaced() before flushQueued()");
     }
     std::size_t ops = inflightBatchOps_.front();
     inflightBatchOps_.pop_front();

@@ -8,20 +8,15 @@
 // (std::runtime_error — the connection is gone).
 //
 // Versioning: hello() offers kProtocolVersion and records what the
-// server negotiated. Against a v1 server the client degrades
-// transparently — every v1 call keeps working and the batch paths below
-// fall back to one PLACE frame per item.
+// server negotiated.
 //
-// Batching (v2): batch() builds one BATCH frame of PLACE/DEPART sub-ops
-// and send() returns the combined BATCH_OK — including partial results
-// when an op mid-batch failed. The older pipelined trio
-// (queuePlace/flushQueued/readPlaced) is kept as a thin wrapper: on a
-// v2 session it packs queued placements into BATCH frames (kMaxBatchOps
-// per frame) and unpacks the combined replies, on a v1 session it sends
-// raw PLACE frames — same call sites, same observable placements either
-// way (the equivalence test pins this). This is what stream_replay
-// --connect and bench_serve use to keep the socket full without one
-// round trip per item.
+// Batching: batch() builds one BATCH frame of PLACE/DEPART sub-ops and
+// send() returns the combined BATCH_OK — including partial results when
+// an op mid-batch failed. The pipelined trio
+// (queuePlace/flushQueued/readPlaced) is a thin wrapper that packs queued
+// placements into BATCH frames (kMaxBatchOps per frame) and unpacks the
+// combined replies. This is what stream_replay --connect and bench_serve
+// use to keep the socket full without one round trip per item.
 #pragma once
 
 #include <cstdint>
@@ -140,10 +135,9 @@ class Client {
   /// Fetches the server's telemetry exposition text.
   std::string scrape();
 
-  // Pipelined PLACE: queue locally, flush in one write, read replies in
-  // order. On a v2 session this is a wrapper over BATCH frames; on v1
-  // (or before hello()) it sends raw PLACE frames. queued() reports how
-  // many placement replies are still owed.
+  // Pipelined PLACE over BATCH frames: queue locally, flush in one write,
+  // read replies in order. queued() reports how many placement replies
+  // are still owed.
   void queuePlace(double size, double arrival, double departure);
   void flushQueued();
   PlacedFrame readPlaced();
@@ -173,19 +167,14 @@ class Client {
   std::vector<std::uint8_t> rbuf_;
   std::size_t rpos_ = 0;
 
-  // Pipelined-path state. v1 sessions encode PLACE frames straight into
-  // outQueue_; v2 sessions stage ops in pendingOps_ until flushQueued()
+  // Pipelined-path state: ops wait in pendingOps_ until flushQueued()
   // packs them into BATCH frames (inflightBatchOps_ remembers each
   // in-flight frame's op count so readPlaced can account for replies).
-  std::vector<std::uint8_t> outQueue_;
   std::vector<BatchOp> pendingOps_;
   std::deque<std::size_t> inflightBatchOps_;
   std::deque<PlacedFrame> placedBacklog_;
   std::optional<ErrorFrame> pendingFailure_;
   std::size_t owedReplies_ = 0;
 };
-
-/// Back-compat alias from the pre-sharding API.
-using ServeClient = Client;
 
 }  // namespace cdbp::serve

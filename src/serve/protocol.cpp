@@ -160,8 +160,8 @@ class Cursor {
     return true;
   }
 
-  /// Strict decoders require the body to be fully consumed: v1 frames
-  /// carry no extension fields, so trailing bytes are malformed input.
+  /// Strict decoders require the body to be fully consumed: frames carry
+  /// no extension fields, so trailing bytes are malformed input.
   bool done() const { return pos_ == size_; }
 
  private:

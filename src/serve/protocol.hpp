@@ -13,14 +13,12 @@
 // simulateStream differential suite pins. Strings are u16 length +
 // UTF-8-agnostic raw bytes; the SCRAPE text uses a u32 length.
 //
-// Versioning: this build speaks v2. HELLO carries the highest version the
-// client understands; the server answers HELLO_OK with the negotiated
-// version min(client, server) — so a v1 client gets a v1 session (the v1
-// frame set is a strict subset of v2) and a v3 client degrades to v2. A
-// v2-only frame (BATCH) on a v1-negotiated session costs a typed
-// ERROR(unsupported-version) reply, never a disconnect.
+// Versioning: this build speaks v2 only. HELLO carries the highest
+// version the client understands; the server answers HELLO_OK with the
+// negotiated version min(client, server), so a v3 client degrades to v2,
+// and rejects a version below v2 with ERROR(protocol-version).
 //
-// v2 adds BATCH/BATCH_OK: many PLACE/DEPART sub-ops for one tenant in one
+// BATCH/BATCH_OK carry many PLACE/DEPART sub-ops for one tenant in one
 // frame, executed in order, answered with one combined reply. Sub-ops
 // after a failing one do not run; the reply carries the results of the
 // completed prefix plus the failing op's index and typed error.
@@ -36,7 +34,7 @@
 //   client: HELLO  -> server: HELLO_OK | ERROR
 //   client: PLACE  -> server: PLACED   | ERROR     (repeatable)
 //   client: DEPART -> server: DEPART_OK| ERROR     (advance virtual time)
-//   client: BATCH  -> server: BATCH_OK | ERROR     (v2; repeatable)
+//   client: BATCH  -> server: BATCH_OK | ERROR     (repeatable)
 //   client: STATS  -> server: STATS_OK | ERROR
 //   client: DRAIN  -> server: DRAIN_OK | ERROR     (finishes the session)
 //   client: SCRAPE -> server: SCRAPE_OK            (no session required)
@@ -56,7 +54,7 @@ namespace cdbp::serve {
 /// min(client, kProtocolVersion); versions below kMinProtocolVersion are
 /// rejected with kErrProtocolVersion.
 inline constexpr std::uint16_t kProtocolVersion = 2;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+inline constexpr std::uint16_t kMinProtocolVersion = 2;
 
 /// The version a session speaks after HELLO: min(requested, ours), or 0
 /// when `requested` is below the supported floor (reject).

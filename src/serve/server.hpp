@@ -13,9 +13,8 @@
 // to local StreamEngine runs; the serve differential suite pins this
 // for every policy spec and both engines.
 //
-// The wire protocol is cdbp-serve v2 (serve/protocol.hpp): v1 clients
-// negotiate down in HELLO and keep working; v2 clients can pack many
-// PLACE/DEPART sub-ops into one BATCH frame. Per-tenant counters
+// The wire protocol is cdbp-serve v2 (serve/protocol.hpp): clients can
+// pack many PLACE/DEPART sub-ops into one BATCH frame. Per-tenant counters
 // (serve.tenant.<id>.placements/.bytes/.usage) ride the global registry
 // and surface through SCRAPE.
 //

@@ -361,12 +361,6 @@ void Session::handleBatch(const FrameView& frame) {
     sendError(ErrorCode::kUnknownTenant, "BATCH before HELLO");
     return;
   }
-  if (negotiatedVersion_ < 2) {
-    sendError(ErrorCode::kUnsupportedVersion,
-              "BATCH requires cdbp-serve v2; this session negotiated v" +
-                  std::to_string(negotiatedVersion_));
-    return;
-  }
   if (finished_) {
     sendError(ErrorCode::kSessionFinished, "BATCH after DRAIN");
     return;

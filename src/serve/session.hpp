@@ -23,11 +23,10 @@
 // buffer somehow exceeds limit + maxFramePayload + headroom is shed with
 // kBackpressure semantics (counted in ShardCounters::shedConnections).
 //
-// Version negotiation (v2): HELLO carries the highest version the client
+// Version negotiation: HELLO carries the highest version the client
 // speaks; the session runs min(client, kProtocolVersion) and rejects
-// only clients older than kMinProtocolVersion. A v2-only frame (BATCH)
-// arriving on a v1 session gets a typed ERROR(unsupported-version) and
-// the connection keeps serving.
+// clients older than kMinProtocolVersion (v2) with a typed
+// ERROR(protocol-version).
 #pragma once
 
 #include <cstddef>

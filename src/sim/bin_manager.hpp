@@ -133,6 +133,11 @@ class BasicBinManager {
   /// Currently open bin count.
   std::size_t openCount() const { return open_.size(); }
 
+  /// Distinct categories ever opened. openByCategory_ never erases a key
+  /// (a closed bin only leaves its category's list), so its size is the
+  /// number of categories placed into.
+  std::size_t categoriesUsed() const { return openByCategory_.size(); }
+
   // --- Mutation interface (driven by the simulators) ---
 
   /// Opens a new bin with the given category; returns its global id.

@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "core/epsilon.hpp"
-#include "sim/bin_manager.hpp"
-#include "sim/placement_view.hpp"
-#include "sim/stream_internals.hpp"
+#include "sim/placement_core.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/arena.hpp"
@@ -29,10 +24,6 @@
 namespace cdbp {
 
 namespace {
-
-using stream_internal::IncrementalLb3;
-using stream_internal::laterDeparture;
-using stream_internal::PendingDeparture;
 
 // Workers are per-shard FIFO loops, so more shards than this only adds
 // queue bookkeeping; a backstop against absurd --threads values.
@@ -59,7 +50,7 @@ struct EpochBuffer {
 };
 
 // What a shard's open/close log remembers per bin event; merged across
-// shards at finish() in the batch timeline's (time, kind, id) order to
+// shards at finish() in (time, close-before-open, id) order to
 // reconstruct global bin ids, the global-order usage sum and maxOpenBins.
 struct OpenRec {
   Time time;     // opening arrival instant
@@ -73,21 +64,21 @@ struct CloseRec {
 }  // namespace
 
 struct ShardedSimulator::Impl {
-  // One shard: one key group's bins, policy and pending departures, driven
-  // by exactly one worker task at a time (the running flag below), so the
-  // hot-path state needs no locking of its own.
+  // One shard: one key group's placement core (bins, policy, pending
+  // departures keyed by global item id), driven by exactly one worker task
+  // at a time (the running flag below), so the hot-path state needs no
+  // locking of its own.
   struct Shard {
-    explicit Shard(std::size_t indexIn) : index(indexIn) {}
+    Shard(std::size_t indexIn, PolicyPtr ownedIn, OnlinePolicy& policy)
+        : index(indexIn),
+          owned(std::move(ownedIn)),
+          core(policy, /*indexed=*/true) {}
 
     const std::size_t index;
-    BinManager bins{/*indexed=*/true};
-    PolicyPtr owned;           // clone (null in single-shard fallback)
-    OnlinePolicy* policy = nullptr;
-    std::vector<PendingDeparture> pending;  // min-heap on (time, global id)
-    std::vector<Time> usageByBin;           // local bin id -> usage at close
-    std::vector<OpenRec> opens;             // local bin id -> open record
+    PolicyPtr owned;  // clone (null in single-shard fallback)
+    PlacementCore core;
+    std::vector<OpenRec> opens;  // local bin id -> open record
     std::vector<CloseRec> closes;
-    std::set<int> categories;
     std::vector<std::pair<ItemId, BinId>> placements;  // capture mode
 
     // FIFO work queue: epoch buffers plus one trailing drain marker
@@ -122,9 +113,7 @@ struct ShardedSimulator::Impl {
   std::unique_ptr<ThreadPool> pool;
 
   std::vector<Staged> staged;
-  Time lastArrival = 0;
-  ItemId lastId = 0;
-  bool sawItem = false;
+  ArrivalValidator arrivals{"simulateSharded"};
   ItemId maxId = 0;
   bool finished = false;
 
@@ -197,15 +186,10 @@ struct ShardedSimulator::Impl {
     }
     shards.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
-      shards.push_back(std::make_unique<Shard>(s));
-      Shard& shard = *shards.back();
-      if (partitioned) {
-        shard.owned = prototype.clone();
-        shard.policy = shard.owned.get();
-      } else {
-        shard.policy = &prototype;
-      }
-      shard.policy->reset();
+      PolicyPtr owned = partitioned ? prototype.clone() : nullptr;
+      OnlinePolicy& policy = owned ? *owned : prototype;
+      policy.reset();
+      shards.push_back(std::make_unique<Shard>(s, std::move(owned), policy));
     }
     pool = std::make_unique<ThreadPool>(count);
     result.shards = count;
@@ -234,18 +218,10 @@ struct ShardedSimulator::Impl {
     if (finished) {
       throw std::logic_error("ShardedSimulator: feed() after finish()");
     }
-    validate(item);
+    arrivals.admit(item);
     rethrowIfFailed();
 
-    Item announced = item;
-    if (options.announce) {
-      announced = options.announce(item);
-      if (announced.id != item.id || announced.size != item.size ||
-          announced.arrival() != item.arrival()) {
-        throw std::logic_error(
-            "ShardedOptions::announce may only perturb the departure time");
-      }
-    }
+    Item announced = checkedAnnounce(options.announce, item);
     if (!modeDecided) decideMode(announced);
 
     std::uint32_t shard = shardOf(announced);
@@ -257,11 +233,7 @@ struct ShardedSimulator::Impl {
     if (options.computeLowerBound) {
       // Identical event order to StreamEngine: departures due at or
       // before this arrival first, then the arrival's size delta.
-      while (!lb3Pending.empty() && lb3Pending.front().time <= item.arrival()) {
-        std::pop_heap(lb3Pending.begin(), lb3Pending.end(), laterDeparture);
-        lb3.onEvent(lb3Pending.back().time, -lb3Pending.back().size);
-        lb3Pending.pop_back();
-      }
+      drainLb3(item.arrival());
       lb3.onEvent(item.arrival(), item.size);
       lb3Pending.push_back({item.departure(), item.id, 0, item.size});
       std::push_heap(lb3Pending.begin(), lb3Pending.end(), laterDeparture);
@@ -272,35 +244,12 @@ struct ShardedSimulator::Impl {
     if (staged.size() >= options.epochArrivals) dispatchEpoch();
   }
 
-  void validate(const Item& item) {
-    if (!std::isfinite(item.arrival()) || !std::isfinite(item.departure())) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " has a non-finite time");
+  void drainLb3(Time time) {
+    while (!lb3Pending.empty() && lb3Pending.front().time <= time) {
+      std::pop_heap(lb3Pending.begin(), lb3Pending.end(), laterDeparture);
+      lb3.onEvent(lb3Pending.back().time, -lb3Pending.back().size);
+      lb3Pending.pop_back();
     }
-    if (!(item.departure() > item.arrival())) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " departs at or before its arrival");
-    }
-    if (!std::isfinite(item.size) || !(item.size > 0) ||
-        lt(kBinCapacity, item.size)) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " has size outside (0, 1]");
-    }
-    if (sawItem && (item.arrival() < lastArrival ||
-                    (item.arrival() == lastArrival && item.id <= lastId))) {
-      throw std::invalid_argument(
-          "simulateSharded: items must be fed in increasing (arrival, id) "
-          "order (item " + std::to_string(item.id) + " at " +
-          std::to_string(item.arrival()) + " after item " +
-          std::to_string(lastId) + " at " + std::to_string(lastArrival) +
-          ")");
-    }
-    lastArrival = item.arrival();
-    lastId = item.id;
-    sawItem = true;
   }
 
   EpochBuffer* acquireBuffer() {
@@ -400,7 +349,7 @@ struct ShardedSimulator::Impl {
           if (buf != nullptr) {
             processSlice(shard, buf->slices[shard.index]);
           } else {
-            drainShard(shard);
+            drainShard(shard, std::numeric_limits<Time>::infinity());
           }
         } catch (...) {
           recordError(std::current_exception());
@@ -413,72 +362,34 @@ struct ShardedSimulator::Impl {
     }
   }
 
-  // The StreamEngine::place loop restricted to one key group: identical
-  // drain order, identical validation, identical counted policy queries —
-  // the per-item bit-identity argument lives here (DESIGN.md §14). The
-  // per-placement scan histogram is skipped: with concurrent shards the
-  // global fit-check counter cannot be attributed to one placement (the
-  // run_many caveat); the aggregate counter stays exact.
+  // The shared placement step restricted to one key group: the same core
+  // as StreamEngine, so drain order, validation and counted policy queries
+  // are identical — the per-item bit-identity argument (DESIGN.md §14).
+  // The per-placement scan histogram is skipped: with concurrent shards
+  // the global fit-check counter cannot be attributed to one placement
+  // (the run_many caveat); the aggregate counter stays exact.
   void processSlice(Shard& shard, const Slice& slice) {
     const bool capture = options.capturePlacements;
     for (std::size_t i = 0; i < slice.count; ++i) {
       const Time arrival = slice.arrivals[i];
-      while (!shard.pending.empty() &&
-             shard.pending.front().time <= arrival) {
-        popDeparture(shard);
-      }
-
+      drainShard(shard, arrival);
+      const Item item(slice.ids[i], slice.sizes[i], arrival,
+                      slice.departures[i]);
       const Item announced(slice.ids[i], slice.sizes[i], arrival,
                            slice.announcedDepartures[i]);
-      PlacementView view(shard.bins, arrival);
-      PlacementDecision decision = shard.policy->place(view, announced);
-      BinId target = decision.bin;
-      if (target == kNewBin) {
-        target = shard.bins.openBin(decision.category, arrival);
-        shard.usageByBin.push_back(0);
-        shard.opens.push_back({arrival, slice.ids[i]});
-        CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
-      } else {
-        CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
-        if (!shard.bins.info(target).open) {
-          throw std::logic_error(shard.policy->name() + " placed item " +
-                                 std::to_string(slice.ids[i]) +
-                                 " in closed bin " + std::to_string(target));
-        }
-        // Validation re-check: wouldFit is the uncounted twin of fits(),
-        // so sim.fit_checks stays comparable with the other engines.
-        if (!shard.bins.wouldFit(target, slice.sizes[i])) {
-          throw std::logic_error(shard.policy->name() + " overfilled bin " +
-                                 std::to_string(target) + " with item " +
-                                 std::to_string(slice.ids[i]));
-        }
-      }
-      shard.bins.addItem(target, slice.sizes[i]);
-      shard.pending.push_back(
-          {slice.departures[i], slice.ids[i], target, slice.sizes[i]});
-      std::push_heap(shard.pending.begin(), shard.pending.end(),
-                     laterDeparture);
-      shard.categories.insert(shard.bins.info(target).category);
-      if (capture) shard.placements.emplace_back(slice.ids[i], target);
-      CDBP_TELEM_COUNT("sim.events_processed", 1);
-      CDBP_TELEM_HIST("sim.item_size_permille", slice.sizes[i] * 1000.0);
+      Placement placed = shard.core.place(item, announced);
+      if (placed.openedNewBin) shard.opens.push_back({arrival, item.id});
+      if (capture) shard.placements.emplace_back(item.id, placed.bin);
     }
   }
 
-  void popDeparture(Shard& shard) {
-    std::pop_heap(shard.pending.begin(), shard.pending.end(), laterDeparture);
-    PendingDeparture dep = shard.pending.back();
-    shard.pending.pop_back();
-    if (shard.bins.removeItem(dep.bin, dep.size)) {
-      shard.usageByBin[static_cast<std::size_t>(dep.bin)] =
-          dep.time - shard.bins.info(dep.bin).openedAt;
-      shard.closes.push_back({dep.time, dep.item});
-    }
-    CDBP_TELEM_COUNT("sim.events_processed", 1);
-  }
-
-  void drainShard(Shard& shard) {
-    while (!shard.pending.empty()) popDeparture(shard);
+  // Drains the shard's departures due at or before `time`, logging every
+  // bin close for the merge.
+  static void drainShard(Shard& shard, Time time) {
+    shard.core.drainUntil(time, [&shard](const PendingDeparture& dep,
+                                         bool closed) {
+      if (closed) shard.closes.push_back({dep.time, dep.item});
+    });
   }
 
   // --- Finish & global reconstruction ---------------------------------
@@ -501,11 +412,7 @@ struct ShardedSimulator::Impl {
     rethrowIfFailed();
 
     if (options.computeLowerBound) {
-      while (!lb3Pending.empty()) {
-        std::pop_heap(lb3Pending.begin(), lb3Pending.end(), laterDeparture);
-        lb3.onEvent(lb3Pending.back().time, -lb3Pending.back().size);
-        lb3Pending.pop_back();
-      }
+      drainLb3(std::numeric_limits<Time>::infinity());
       result.lb3 = lb3.total();
     }
 
@@ -514,8 +421,8 @@ struct ShardedSimulator::Impl {
   }
 
   // Reconstructs the single-pool run's global view from the per-shard
-  // logs. Bin open/close events merge in the batch timeline's
-  // (time, kind, id) order — closes (departures) before opens (arrivals)
+  // logs. Bin open/close events merge in (time, kind, id) order —
+  // closes (departures) before opens (arrivals)
   // at equal instants — which is exactly the order the single-pool
   // engines open and close bins in. Walking opens in that order yields:
   //   * global bin ids (BinManager assigns ids in opening order),
@@ -568,8 +475,8 @@ struct ShardedSimulator::Impl {
     BinId nextGlobal = 0;
     for (const BinEvent& e : events) {
       if (e.kind == 1) {
-        totalUsage +=
-            shards[e.shard]->usageByBin[static_cast<std::size_t>(e.localBin)];
+        totalUsage += shards[e.shard]
+                          ->core.usageByBin()[static_cast<std::size_t>(e.localBin)];
         if (options.capturePlacements) {
           localToGlobal[e.shard][static_cast<std::size_t>(e.localBin)] =
               nextGlobal;
@@ -587,7 +494,7 @@ struct ShardedSimulator::Impl {
     result.maxOpenBins = maxOpen;
     result.categoriesUsed = 0;
     for (const auto& shard : shards) {
-      result.categoriesUsed += shard->categories.size();
+      result.categoriesUsed += shard->core.bins().categoriesUsed();
     }
     if (options.capturePlacements) {
       result.binOf.assign(static_cast<std::size_t>(maxId) + 1, kUnassigned);

@@ -22,14 +22,15 @@
 // thread, keeping resident memory O(open state + epochs in flight), never
 // O(total items).
 //
-// Bit-identity (DESIGN.md §14): each worker replays exactly the
-// StreamEngine loop restricted to its key group — departures drain in
-// (time, global item id) order before each arrival, levels evolve through
-// the same floating-point updates, policy queries see the same per-category
-// state — so per-item placements equal the single-pool engines'. Global
+// Bit-identity (DESIGN.md §14): each shard drives its own PlacementCore
+// (sim/placement_core.hpp), the placement step StreamEngine drives, over
+// its key group — departures drain in (time, global item id) order before
+// each arrival, levels evolve through the same floating-point updates,
+// policy queries see the same per-category state — so per-item placements
+// equal the single-pool engines'. Global
 // bin ids, totalUsage (summed in global bin-id order), maxOpenBins and the
 // per-bin usage doubles are reconstructed afterwards from per-shard
-// open/close logs merged in the batch timeline's (time, kind, id) order.
+// open/close logs merged in (time, close-before-open, id) order.
 // tests/integration/sharded_differential_test.cpp pins all of it against
 // kIndexed and kLinearScan.
 #pragma once
@@ -96,8 +97,8 @@ struct ShardedResult {
   std::vector<BinId> binOf;
 };
 
-/// Push-based sharded engine. Feed items in nondecreasing (arrival, id)
-/// order — the batch timeline order — then finish() exactly once.
+/// Push-based sharded engine. Feed items in increasing (arrival, id)
+/// order — the order simulateOnline feeds — then finish() exactly once.
 ///
 /// `prototype` must outlive the simulator. In partitioned mode every shard
 /// runs its own clone(); in single-shard mode the prototype itself runs on
@@ -116,8 +117,9 @@ class ShardedSimulator {
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  /// Validates the item (finite times, departure > arrival, size in
-  /// (0, 1], nondecreasing (arrival, id)) and stages it for its shard.
+  /// Validates the item (the shared ArrivalValidator: finite times,
+  /// departure > arrival, size in (0, 1], increasing (arrival, id)) and
+  /// stages it for its shard.
   void feed(const Item& item);
 
   /// Flushes the trailing epoch, drains every shard, joins the pipeline

@@ -1,64 +1,18 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <set>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
-#include "core/epsilon.hpp"
-#include "sim/placement_view.hpp"
 #include "sim/sharded.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/streaming.hpp"
 
 namespace cdbp {
 
-namespace {
-
-// Trace rows: items land on their bin's row inside the "placements"
-// process.
-constexpr int kTracePid = 1;
-
-// One flat, pre-sorted timeline replaces the departure priority queue: all
-// 2n arrival/departure records live in one contiguous array, sorted once
-// by (time, kind, item). Departures order before arrivals at the same
-// instant (half-open intervals: an item leaving at t does not overlap one
-// arriving at t), and simultaneous departures drain in item-id order —
-// exactly the (time, id) pop order of the old heap, so bin levels evolve
-// through the identical sequence of floating-point updates.
-enum : std::uint8_t { kDeparture = 0, kArrival = 1 };
-
-struct TimelineEvent {
-  Time time;
-  ItemId item;
-  std::uint8_t kind;
-};
-
-bool timelineBefore(const TimelineEvent& a, const TimelineEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  return a.item < b.item;
-}
-
-#if CDBP_TELEMETRY
-// Scan cost of one placement = fit() probes the policy issued for it,
-// measured as the delta of the global fit-check counter around place().
-// The counter is process-wide, so concurrent simulations (the parallel
-// sweep harness) would attribute each other's probes; the per-placement
-// histogram is therefore only recorded when the delta is plausible for a
-// single placement — the aggregate counter stays exact either way.
-telemetry::Counter& fitCheckCounter() {
-  static telemetry::Counter& c =
-      telemetry::Registry::global().counter("sim.fit_checks");
-  return c;
-}
-#endif
-
-}  // namespace
-
 SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
                          const SimOptions& options) {
+  // sortedByArrival() orders by (arrival, id) with the instance's own
+  // (dense) item ids, so binOf indexes straight into the Packing and
+  // simultaneous departures tie-break on instance ids.
   if (options.engine == PlacementEngine::kSharded) {
     if (options.trace != nullptr || options.chromeTrace != nullptr) {
       throw std::invalid_argument(
@@ -70,9 +24,6 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
     shardedOptions.announce = options.announce;
     shardedOptions.capturePlacements = true;
     ShardedSimulator sim(policy, shardedOptions);
-    // sortedByArrival() orders by (arrival, id) — the batch timeline's
-    // arrival order — with the instance's own (dense) item ids, so the
-    // reconstructed binOf indexes straight into the Packing.
     for (const Item& r : instance.sortedByArrival()) sim.feed(r);
     ShardedResult sharded = sim.finish();
     if (sharded.binOf.size() < instance.size()) {
@@ -87,150 +38,33 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
     return result;
   }
 
-  policy.reset();
-  BinManager bins(options.engine == PlacementEngine::kIndexed);
+  StreamOptions streamOptions;
+  streamOptions.engine = options.engine;
+  streamOptions.announce = options.announce;
+  streamOptions.chromeTrace = options.chromeTrace;
+  streamOptions.computeLowerBound = false;
+  StreamEngine engine(policy, streamOptions);
   std::vector<BinId> binOf(instance.size(), kUnassigned);
-  std::set<int> categories;
-  std::size_t maxOpen = 0;
-
-  if (options.chromeTrace) {
-    options.chromeTrace->setProcessName(kTracePid,
-                                        "cdbp simulation: " + policy.name());
-  }
-
-  // Build the timeline. An item's departure sorts strictly after its
-  // arrival (durations are positive), so a departure record is always
-  // scanned after its item was placed.
-  std::vector<TimelineEvent> events;
-  events.reserve(2 * instance.size());
-  for (const Item& r : instance.items()) {
-    events.push_back({r.arrival(), r.id, kArrival});
-    events.push_back({r.departure(), r.id, kDeparture});
-  }
-  std::sort(events.begin(), events.end(), timelineBefore);
-
-  auto processDeparture = [&](const TimelineEvent& e) {
-    bins.removeItem(binOf[e.item], instance[e.item].size);
-    CDBP_TELEM_COUNT("sim.events_processed", 1);
-    if (options.chromeTrace) {
-      options.chromeTrace->addCounter("open_bins",
-                                      e.time * options.traceTimeScale,
-                                      kTracePid,
-                                      static_cast<double>(bins.openCount()));
-    }
-  };
-
-  std::size_t arrivalsLeft = instance.size();
-  std::size_t cursor = 0;
-  for (; cursor < events.size() && arrivalsLeft > 0; ++cursor) {
-    const TimelineEvent& e = events[cursor];
-    if (e.kind == kDeparture) {
-      // Batched draining: consecutive departure records release capacity
-      // back to back with no per-item heap traffic.
-      processDeparture(e);
-      continue;
-    }
-    const Item& r = instance[e.item];
-    --arrivalsLeft;
-
-    Item announced = r;
-    if (options.announce) {
-      announced = options.announce(r);
-      if (announced.id != r.id || announced.size != r.size ||
-          announced.arrival() != r.arrival()) {
-        throw std::logic_error(
-            "SimOptions::announce may only perturb the departure time");
-      }
-    }
-
-    PlacementView view(bins, r.arrival());
-#if CDBP_TELEMETRY
-    std::uint64_t fitChecksBefore = fitCheckCounter().value();
-#endif
-    PlacementDecision decision = policy.place(view, announced);
-#if CDBP_TELEMETRY
-    std::uint64_t scanned = fitCheckCounter().value() - fitChecksBefore;
-    if (scanned <= bins.openCount()) {
-      CDBP_TELEM_HIST("sim.bins_scanned_per_placement", scanned);
-    }
-#endif
-    BinId target = decision.bin;
-    if (target == kNewBin) {
-      target = bins.openBin(decision.category, r.arrival());
-      CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
-    } else {
-      CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
-      if (!bins.info(target).open) {
-        throw std::logic_error(policy.name() + " placed item " +
-                               std::to_string(r.id) + " in closed bin " +
-                               std::to_string(target));
-      }
-      // Validation re-check: wouldFit is the uncounted twin of fits(), so
-      // sim.fit_checks measures policy-issued queries only.
-      if (!bins.wouldFit(target, r.size)) {
-        throw std::logic_error(policy.name() + " overfilled bin " +
-                               std::to_string(target) + " with item " +
-                               std::to_string(r.id));
-      }
-    }
+  for (const Item& r : instance.sortedByArrival()) {
+    Placement placed = engine.place(r);
+    binOf[r.id] = placed.bin;
     if (options.trace) {
-      PlacementRecord record;
-      record.item = r.id;
-      record.time = r.arrival();
-      record.bin = target;
-      record.openedNewBin = decision.bin == kNewBin;
-      record.category = bins.info(target).category;
-      // Count excludes the bin just opened for this item, so the field
-      // reflects the state the policy decided against.
-      record.openBins = bins.openCount() - (decision.bin == kNewBin ? 1 : 0);
-      record.binLevelBefore = bins.info(target).level;
-      options.trace->record(record);
-    }
-    bins.addItem(target, r.size);
-    binOf[r.id] = target;
-    categories.insert(bins.info(target).category);
-    maxOpen = std::max(maxOpen, bins.openCount());
-    CDBP_TELEM_COUNT("sim.events_processed", 1);
-    CDBP_TELEM_HIST("sim.item_size_permille", r.size * 1000.0);
-
-    if (options.chromeTrace) {
-      std::ostringstream name;
-      name << "item " << r.id;
-      options.chromeTrace->addComplete(
-          name.str(), "item", r.arrival() * options.traceTimeScale,
-          r.duration() * options.traceTimeScale, kTracePid,
-          static_cast<int>(target),
-          {{"size", r.size},
-           {"category", static_cast<double>(bins.info(target).category)},
-           {"bin_level_after", bins.info(target).level}});
-      options.chromeTrace->addCounter("open_bins",
-                                      r.arrival() * options.traceTimeScale,
-                                      kTracePid,
-                                      static_cast<double>(bins.openCount()));
+      options.trace->record({r.id, r.arrival(), placed.bin,
+                             placed.openedNewBin, placed.category,
+                             placed.openBinsBefore, placed.binLevelBefore});
     }
   }
-  // Departure records after the last arrival cannot influence any
-  // placement; they are drained only when a timeline artifact wants the
-  // open-bin counter series to close at zero.
-  if (options.chromeTrace) {
-    for (; cursor < events.size(); ++cursor) {
-      processDeparture(events[cursor]);
-    }
-    for (std::size_t b = 0; b < bins.binsOpened(); ++b) {
-      const BinManager::BinInfo& info = bins.info(static_cast<BinId>(b));
-      std::ostringstream name;
-      name << "bin " << info.id << " (cat " << info.category << ")";
-      options.chromeTrace->setThreadName(kTracePid, static_cast<int>(info.id),
-                                         name.str());
-    }
-  }
+  // Departures after the last arrival cannot change a placement, and the
+  // Packing carries the usage, so the engine drains them (finish()) only
+  // when a chrome trace wants its open-bin series to close at zero.
+  if (options.chromeTrace) engine.finish();
 
   SimResult result;
   result.packing = Packing(instance, std::move(binOf));
   result.totalUsage = result.packing.totalUsage();
-  result.binsOpened = bins.binsOpened();
-  result.maxOpenBins = maxOpen;
-  result.categoriesUsed = categories.size();
+  result.binsOpened = engine.binsOpened();
+  result.maxOpenBins = engine.maxOpenBins();
+  result.categoriesUsed = engine.categoriesUsed();
   return result;
 }
 

@@ -1,8 +1,9 @@
-// Event-driven online packing simulator.
+// Online packing simulator over a whole Instance.
 //
-// Replays an instance in arrival order against an OnlinePolicy, maintaining
-// the open-bin state (bins close permanently when they empty) and
-// validating every decision. Produces the final Packing plus run
+// Replays an instance in arrival order against an OnlinePolicy through the
+// shared placement step (sim/placement_core.hpp, driven by a StreamEngine
+// with the instance's own ids): bins close permanently when they empty and
+// every decision is validated. Produces the final Packing plus run
 // statistics.
 #pragma once
 
@@ -16,10 +17,6 @@
 #include "telemetry/chrome_trace.hpp"
 
 namespace cdbp {
-
-// PlacementEngine moved to sim/bin_manager.hpp in PR 4 (the multidim and
-// flexible simulators select engines too); it arrives here transitively
-// via online/policy.hpp -> sim/placement_view.hpp -> sim/bin_manager.hpp.
 
 struct SimOptions {
   /// Placement engine selection. Both engines produce bit-identical
@@ -43,10 +40,6 @@ struct SimOptions {
   /// CDBP_TELEMETRY toggle — this is an explicitly requested artifact, not
   /// ambient instrumentation.
   telemetry::ChromeTrace* chromeTrace = nullptr;
-
-  /// Simulated-time-unit -> trace-microsecond scale (trace timestamps are
-  /// microseconds; the default renders 1 time unit as 1 second).
-  double traceTimeScale = 1e6;
 
   /// Worker threads for engine == kSharded (0 picks the hardware
   /// concurrency); ignored by the other engines. The sharded engine

@@ -1,7 +1,5 @@
 // Bounded-memory streaming simulator.
 //
-// simulateOnline materializes the whole Instance plus a flat 2n-event
-// timeline before the first placement — O(n) memory by construction.
 // simulateStream consumes arrivals incrementally from an ArrivalSource and
 // keeps only the live state: the open-bin set, a min-heap of pending
 // departures (one entry per arrived-but-not-departed item), and O(1)
@@ -10,15 +8,13 @@
 // replay at RAM. (The per-opened-bin term is inherent to BinManager's
 // BinInfo bookkeeping and is bytes per bin, not per item.)
 //
-// Equivalence contract (DESIGN.md §11, enforced by
-// tests/integration/streaming_differential_test.cpp): for any arrival-
-// sorted source, simulateStream is BIT-IDENTICAL to simulateOnline on the
-// same items — same bins for every item, same totalUsage double, same
-// sim.fit_checks count. This holds because the stream replays the batch
-// timeline order exactly: departures with time <= the incoming arrival
-// drain first (in (time, id) order — the batch sort key), so every bin
-// level evolves through the same sequence of floating-point updates and
-// every policy query sees the same state.
+// StreamEngine runs the shared placement step (sim/placement_core.hpp) on
+// a single timeline. simulateOnline feeds an Instance through it
+// with the instance's own ids, so on an instance whose ids follow arrival
+// order (as a trace-file round trip numbers them) simulateStream and
+// simulateOnline are bit-identical by construction — same bins for every
+// item, same totalUsage double, same sim.fit_checks count (DESIGN.md §11,
+// tests/integration/streaming_differential_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +25,7 @@
 #include "core/instance.hpp"
 #include "core/types.hpp"
 #include "online/policy.hpp"
+#include "sim/placement_core.hpp"
 #include "telemetry/chrome_trace.hpp"
 
 namespace cdbp {
@@ -73,8 +70,7 @@ class InstanceArrivalSource final : public ArrivalSource {
 };
 
 struct StreamOptions {
-  /// Placement engine, as in SimOptions. Both engines remain bit-identical
-  /// to their batch counterparts.
+  /// Placement engine, as in SimOptions.
   PlacementEngine engine = PlacementEngine::kIndexed;
 
   /// Same contract as SimOptions::announce: the policy sees the perturbed
@@ -95,7 +91,6 @@ struct StreamOptions {
   /// Timeline artifact, as in SimOptions (always available, independent of
   /// the CDBP_TELEMETRY toggle).
   telemetry::ChromeTrace* chromeTrace = nullptr;
-  double traceTimeScale = 1e6;
 
   /// Worker threads for engine == kSharded (0 picks the hardware
   /// concurrency); ignored by the other engines. The sharded engine
@@ -133,10 +128,10 @@ struct StreamResult {
 /// The incremental heart of the streaming simulator, exposed so callers
 /// that do not own a pull loop — the placement daemon's per-tenant
 /// sessions (serve/server.hpp) — can feed items one at a time. Every
-/// code path that streams goes through this class: simulateStream is a
-/// thin loop over place(), so an engine fed the same items in the same
-/// order is bit-identical to simulateStream (and hence to the batch
-/// simulator) by construction, not by parallel maintenance.
+/// non-sharded code path goes through this class: simulateStream and
+/// simulateOnline are thin loops over place(), so an engine fed the same
+/// items in the same order is bit-identical to both by construction, not
+/// by parallel maintenance.
 ///
 /// Lifecycle: construct (resets the policy), then any sequence of
 /// place() / drainUntil() with nondecreasing times, then finish() once.
@@ -147,13 +142,8 @@ struct StreamResult {
 /// each tenant session its own engine and serializes on the event loop).
 class StreamEngine {
  public:
-  /// One committed placement, as StreamOptions::onPlacement reports it.
-  struct Placement {
-    ItemId item = 0;
-    BinId bin = 0;
-    bool openedNewBin = false;
-    int category = 0;
-  };
+  /// One committed placement (sim/placement_core.hpp).
+  using Placement = ::cdbp::Placement;
 
   /// `policy` must outlive the engine; it is reset() here.
   explicit StreamEngine(OnlinePolicy& policy, const StreamOptions& options = {});
@@ -163,10 +153,17 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
 
   /// Validates `item` (finite times, departure > arrival, size in (0, 1],
-  /// arrival >= timeWatermark()), drains departures due at or before the
-  /// arrival, places through the policy, and commits. Throws
-  /// std::invalid_argument on model-invalid or time-regressing items and
-  /// std::logic_error on invalid policy decisions.
+  /// (arrival, id) after the last item and arrival >= timeWatermark()),
+  /// drains departures due at or before the arrival, places through the
+  /// policy, and commits. The caller's id is kept: it tie-breaks
+  /// simultaneous departures and is what `announce` and onPlacement see.
+  /// Throws std::invalid_argument on model-invalid or out-of-order items
+  /// and std::logic_error on invalid policy decisions.
+  Placement place(const Item& item);
+
+  /// place() with the next dense id (0, 1, 2, ... in call order), the
+  /// numbering a trace-file round trip produces. Do not mix with the Item
+  /// overload on one engine.
   Placement place(const StreamItem& item);
 
   /// Advances the simulation clock to `time`, processing every pending
@@ -191,6 +188,8 @@ class StreamEngine {
   // Live observers, valid before finish() — the daemon's STATS frame.
   std::size_t itemsPlaced() const;
   std::size_t binsOpened() const;
+  std::size_t maxOpenBins() const;
+  std::size_t categoriesUsed() const;
   std::size_t openBins() const;
   std::size_t pendingDepartures() const;
   std::size_t peakOpenItems() const;

@@ -6,9 +6,9 @@
 // ("C") series, and bins get named rows via metadata events. Load the
 // resulting file in chrome://tracing or https://ui.perfetto.dev.
 //
-// Timestamps are microseconds. Simulated time is dimensionless, so callers
-// scale it (SimOptions::traceTimeScale, default 1 time unit -> 1s) before
-// recording.
+// Timestamps are microseconds. Simulated time is dimensionless; the
+// simulator scales it by kTraceMicrosPerTimeUnit (1 time unit -> 1 s)
+// before recording.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,9 @@
 #include <vector>
 
 namespace cdbp::telemetry {
+
+/// Trace microseconds per simulated time unit: one unit renders as 1 s.
+inline constexpr double kTraceMicrosPerTimeUnit = 1e6;
 
 class ChromeTrace {
  public:

@@ -247,7 +247,7 @@ TEST(ServeProtocol, ErrorCodeNames) {
 
 TEST(ServeProtocol, NegotiateVersion) {
   EXPECT_EQ(negotiateVersion(0), 0);  // below the floor: reject
-  EXPECT_EQ(negotiateVersion(1), 1);  // v1 client: speak v1
+  EXPECT_EQ(negotiateVersion(1), 0);  // v1 is no longer spoken: reject
   EXPECT_EQ(negotiateVersion(2), 2);
   EXPECT_EQ(negotiateVersion(3), 2);   // future client: cap at ours
   EXPECT_EQ(negotiateVersion(999), 2);

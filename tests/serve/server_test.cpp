@@ -241,7 +241,7 @@ TEST(ServeServer, TypedErrorsKeepTheConnectionServing) {
     EXPECT_EQ(error.code, ErrorCode::kMalformedFrame);
   }
 
-  // Version below the floor: v0 is rejected (anything >= 1 negotiates).
+  // Version below the floor: v0 is rejected (anything >= 2 negotiates).
   {
     HelloFrame hello = makeHello("tenant", "ff");
     hello.version = 0;
@@ -346,47 +346,30 @@ TEST(ServeServer, TypedErrorsKeepTheConnectionServing) {
   EXPECT_EQ(stats.openConnections, 1u);  // never dropped
 }
 
-TEST(ServeServer, V1ClientNegotiatesDownAndKeepsWorking) {
+TEST(ServeServer, V1ClientIsRejected) {
   Harness h;
   Client client(h.clientFd);
 
   HelloFrame hello = makeHello("legacy", "ff");
   hello.version = 1;
-  HelloOkFrame ok = client.hello(hello);
-  EXPECT_EQ(ok.version, 1);
-  EXPECT_EQ(client.negotiatedVersion(), 1);
+  EXPECT_THROW(
+      {
+        try {
+          client.hello(hello);
+        } catch (const ServeError& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kProtocolVersion);
+          throw;
+        }
+      },
+      ServeError);
+  EXPECT_EQ(client.negotiatedVersion(), 0);
 
-  // The whole v1 surface keeps working.
-  PlacedFrame placed = client.place(0.5, 0.0, 4.0);
-  EXPECT_EQ(placed.bin, 0);
-  EXPECT_EQ(client.departUntil(2.0).openBins, 1u);
-
-  // A v2 frame on a v1 session is a typed rejection, not a disconnect.
-  {
-    BatchFrame batch;
-    BatchOp op;
-    op.place = PlaceFrame{0.25, 2.0, 6.0};
-    batch.ops = {op};
-    std::vector<std::uint8_t> bytes;
-    appendBatch(bytes, batch);
-    client.sendRaw(bytes);
-    OwnedFrame reply = client.readFrame();
-    ASSERT_EQ(reply.type, FrameType::kError);
-    ErrorFrame error;
-    ASSERT_TRUE(decodeError(reply.view(), error));
-    EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
-  }
-
-  // The session survived the rejection; the pipelined wrapper falls back
-  // to raw PLACE frames on a v1 session.
-  client.queuePlace(0.25, 3.0, 7.0);
-  client.queuePlace(0.25, 4.0, 8.0);
-  client.flushQueued();
-  EXPECT_EQ(client.readPlaced().item, 1u);
-  EXPECT_EQ(client.readPlaced().item, 2u);
-  DrainOkFrame drained = client.drain();
-  EXPECT_EQ(drained.items, 3u);
-  EXPECT_EQ(h.server.stats().batches, 0u);
+  // The rejection is typed, not a disconnect: a v2 HELLO on the same
+  // connection opens the session.
+  EXPECT_EQ(client.hello(makeHello("current", "ff")).version,
+            kProtocolVersion);
+  EXPECT_EQ(client.place(0.5, 0.0, 4.0).bin, 0);
+  EXPECT_EQ(client.drain().items, 1u);
 }
 
 TEST(ServeServer, FutureClientVersionCapsAtV2) {
@@ -466,7 +449,7 @@ TEST(ServeServer, BatchBuilderRefusesOversizeAndV1Sessions) {
   Harness h;
   Client client(h.clientFd);
 
-  // Before hello() there is no negotiated version: send() must refuse.
+  // Before hello() there is no session: send() must refuse.
   EXPECT_THROW(client.batch().place(0.5, 0.0, 1.0).send(), std::logic_error);
 
   client.hello(makeHello("caps", "ff"));
@@ -479,43 +462,40 @@ TEST(ServeServer, BatchBuilderRefusesOversizeAndV1Sessions) {
   client.drain();
 }
 
-TEST(ServeServer, PipelinedWrapperMatchesV1PlacePath) {
+TEST(ServeServer, PipelinedWrapperMatchesPlacePath) {
   Harness h;
-  Client v2(h.clientFd);
-  Client v1(h.adoptAnother());
-  v2.hello(makeHello("wrapper-v2", "cdt-ff"));
-  HelloFrame legacy = makeHello("wrapper-v1", "cdt-ff");
-  legacy.version = 1;
-  v1.hello(legacy);
+  Client pipelined(h.clientFd);
+  Client individual(h.adoptAnother());
+  pipelined.hello(makeHello("wrapper-batch", "cdt-ff"));
+  individual.hello(makeHello("wrapper-place", "cdt-ff"));
 
-  // Identical queue/flush/read call sites; v2 travels as BATCH frames,
-  // v1 as raw PLACE frames. Placements must agree decision for decision.
-  std::vector<PlacedFrame> fromV2;
-  std::vector<PlacedFrame> fromV1;
+  // The queue/flush/read wrapper travels as BATCH frames; placements must
+  // agree decision for decision with one PLACE round trip per item.
+  std::vector<PlacedFrame> fromBatches;
+  std::vector<PlacedFrame> fromPlaces;
   constexpr std::size_t kItems = 500;  // > one burst, < kMaxBatchOps
   for (std::size_t i = 0; i < kItems; ++i) {
     double arrival = 0.1 * static_cast<double>(i);
     double size = 0.05 + 0.11 * static_cast<double>(i % 9);
-    v2.queuePlace(size, arrival, arrival + 3.0);
-    v1.queuePlace(size, arrival, arrival + 3.0);
+    pipelined.queuePlace(size, arrival, arrival + 3.0);
+    fromPlaces.push_back(individual.place(size, arrival, arrival + 3.0));
   }
-  v2.flushQueued();
-  v1.flushQueued();
-  while (v2.queued() > 0) fromV2.push_back(v2.readPlaced());
-  while (v1.queued() > 0) fromV1.push_back(v1.readPlaced());
+  pipelined.flushQueued();
+  while (pipelined.queued() > 0) fromBatches.push_back(pipelined.readPlaced());
 
-  ASSERT_EQ(fromV2.size(), kItems);
-  ASSERT_EQ(fromV1.size(), kItems);
+  ASSERT_EQ(fromBatches.size(), kItems);
   for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(fromV2[i].item, fromV1[i].item) << "item " << i;
-    ASSERT_EQ(fromV2[i].bin, fromV1[i].bin) << "item " << i;
-    ASSERT_EQ(fromV2[i].openedNewBin, fromV1[i].openedNewBin) << "item " << i;
-    ASSERT_EQ(fromV2[i].category, fromV1[i].category) << "item " << i;
+    ASSERT_EQ(fromBatches[i].item, fromPlaces[i].item) << "item " << i;
+    ASSERT_EQ(fromBatches[i].bin, fromPlaces[i].bin) << "item " << i;
+    ASSERT_EQ(fromBatches[i].openedNewBin, fromPlaces[i].openedNewBin)
+        << "item " << i;
+    ASSERT_EQ(fromBatches[i].category, fromPlaces[i].category)
+        << "item " << i;
   }
-  DrainOkFrame drainedV2 = v2.drain();
-  DrainOkFrame drainedV1 = v1.drain();
-  EXPECT_EQ(drainedV2.totalUsage, drainedV1.totalUsage);
-  EXPECT_EQ(drainedV2.binsOpened, drainedV1.binsOpened);
+  DrainOkFrame drainedBatches = pipelined.drain();
+  DrainOkFrame drainedPlaces = individual.drain();
+  EXPECT_EQ(drainedBatches.totalUsage, drainedPlaces.totalUsage);
+  EXPECT_EQ(drainedBatches.binsOpened, drainedPlaces.binsOpened);
   EXPECT_GE(h.server.stats().batches, 1u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "online/any_fit.hpp"
+#include "sim/trace.hpp"
 #include "workload/generators.hpp"
 
 namespace cdbp {
@@ -141,6 +142,94 @@ TEST(Simulator, CategoriesUsedCountsDistinctTags) {
   SimResult result = simulateOnline(inst, tagger);
   EXPECT_EQ(result.categoriesUsed, 3u);
 }
+
+// Ids out of arrival order, pinned per engine. Items 1 and 2 share bin 0
+// and both depart at t = 6; item 2 arrives first, so an engine that
+// renumbered items in arrival order would drain item 2 first and leave a
+// different floating-point residue in bin 0 (0.29999999999999993 instead
+// of 0.3) for item 4, which arrives at t = 6, to read. The announce hook
+// shifts departures by one, and that shift moves items 0 and 5 into
+// category 1.
+class SimulatorNonCanonicalIds
+    : public ::testing::TestWithParam<PlacementEngine> {};
+
+TEST_P(SimulatorNonCanonicalIds, KeepsInstanceIdsEndToEnd) {
+  Instance inst = InstanceBuilder()
+                      .add(0.5, 3, 25)     // 0
+                      .add(0.1, 2, 6)      // 1
+                      .add(0.2, 1, 6)      // 2
+                      .add(0.3, 0, 9)      // 3
+                      .add(0.25, 6, 10)    // 4
+                      .add(0.7, 0.5, 30)   // 5
+                      .add(0.4, 7, 8)      // 6
+                      .add(0.6, 7.5, 9)    // 7
+                      .build();
+  struct FirstFitByAnnouncedDeparture : OnlinePolicy {
+    std::string name() const override { return "FirstFitByDeparture"; }
+    bool clairvoyant() const override { return true; }
+    PlacementDecision place(const PlacementView& view,
+                            const Item& item) override {
+      int category = item.departure() >= 20 ? 1 : 0;
+      BinId bin = view.firstFitIn(category, item.size);
+      return bin == kNewBin ? PlacementDecision::fresh(category)
+                            : PlacementDecision::existing(bin);
+    }
+  } policy;
+
+  std::vector<ItemId> announced;
+  DecisionTrace trace;
+  SimOptions options;
+  options.engine = GetParam();
+  options.trace = &trace;
+  options.announce = [&announced](const Item& r) {
+    announced.push_back(r.id);
+    return Item(r.id, r.size, r.arrival(), r.departure() + 1);
+  };
+  SimResult result = simulateOnline(inst, policy, options);
+
+  EXPECT_EQ(announced, (std::vector<ItemId>{3, 5, 2, 1, 0, 4, 6, 7}));
+  EXPECT_EQ(result.packing.binOf(),
+            (std::vector<BinId>{2, 0, 0, 0, 0, 1, 0, 3}));
+  EXPECT_EQ(result.totalUsage, 63.0);
+  EXPECT_EQ(result.binsOpened, 4u);
+  EXPECT_EQ(result.maxOpenBins, 4u);
+  EXPECT_EQ(result.categoriesUsed, 2u);
+
+  struct Expected {
+    ItemId item;
+    BinId bin;
+    bool opened;
+    int category;
+    std::size_t openBins;
+    double levelBefore;
+  };
+  const std::vector<Expected> expected = {
+      {3, 0, true, 0, 0, 0.0},  {5, 1, true, 1, 1, 0.0},
+      {2, 0, false, 0, 2, 0.3}, {1, 0, false, 0, 2, 0.5},
+      {0, 2, true, 1, 2, 0.0},  {4, 0, false, 0, 3, 0.3},
+      {6, 0, false, 0, 3, 0.55}, {7, 3, true, 0, 3, 0.0},
+  };
+  ASSERT_EQ(trace.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const PlacementRecord& record = trace.records()[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(record.item, expected[i].item);
+    EXPECT_EQ(record.time, inst[expected[i].item].arrival());
+    EXPECT_EQ(record.bin, expected[i].bin);
+    EXPECT_EQ(record.openedNewBin, expected[i].opened);
+    EXPECT_EQ(record.category, expected[i].category);
+    EXPECT_EQ(record.openBins, expected[i].openBins);
+    EXPECT_EQ(record.binLevelBefore, expected[i].levelBefore);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SimulatorNonCanonicalIds,
+    ::testing::Values(PlacementEngine::kIndexed, PlacementEngine::kLinearScan),
+    [](const ::testing::TestParamInfo<PlacementEngine>& info) {
+      return info.param == PlacementEngine::kIndexed ? "Indexed"
+                                                     : "LinearScan";
+    });
 
 class SimulatorFeasibility : public ::testing::TestWithParam<std::uint64_t> {};
 

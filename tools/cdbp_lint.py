@@ -51,6 +51,13 @@ mechanically over ``src/``, ``tests/``, ``bench/`` and ``examples/``:
                      ``tryParseDouble``/``tryParseUint``/``tryParseLong``
                      helpers in ``util/parse.hpp``, which reject trailing
                      junk.
+  placement-commit   No ``openBin(``/``addItem(``/``removeItem(`` calls on a
+                     bin manager under ``src/sim/`` and ``src/serve/``
+                     outside the placement core (``sim/placement_core.*``)
+                     and the manager itself (``sim/bin_manager.*``). The
+                     scalar engines all drive the one placement step; a
+                     second copy of the commit code would let their
+                     packings drift apart.
 
 Suppressing a finding
 ---------------------
@@ -134,6 +141,21 @@ RAW_PARSE_RE = re.compile(
 # The checked helpers live here; they wrap std::from_chars directly.
 RAW_PARSE_EXEMPT = ("util/parse.hpp",)
 
+# A bin-manager mutation: the commit half of a placement step.
+PLACEMENT_COMMIT_RE = re.compile(
+    r"(?:\.|->)\s*(?:openBin|addItem|removeItem)\s*\("
+)
+
+# The scalar engines live here and must share one placement step; the
+# multidim, flexible and offline modules keep their own loops.
+PLACEMENT_COMMIT_DIRS = ("src/sim/", "src/serve/")
+PLACEMENT_COMMIT_EXEMPT = (
+    "src/sim/placement_core.hpp",
+    "src/sim/placement_core.cpp",
+    "src/sim/bin_manager.hpp",
+    "src/sim/bin_manager.cpp",
+)
+
 ALL_RULES = (
     "capacity-compare",
     "rng-discipline",
@@ -143,6 +165,7 @@ ALL_RULES = (
     "wallclock-in-lib",
     "raw-bin-loop",
     "raw-number-parse",
+    "placement-commit",
 )
 
 
@@ -342,6 +365,19 @@ class FileLint:
                     "strto*); use tryParseDouble/tryParseUint/tryParseLong "
                     "from util/parse.hpp, which reject trailing junk")
 
+    def check_placement_commit(self) -> None:
+        if not self.relpath.startswith(PLACEMENT_COMMIT_DIRS):
+            return
+        if self.relpath in PLACEMENT_COMMIT_EXEMPT:
+            return
+        for idx, code in enumerate(self.code_lines, start=1):
+            if PLACEMENT_COMMIT_RE.search(code):
+                self.report(
+                    idx, "placement-commit",
+                    "bin-manager mutation outside the placement core; drive "
+                    "sim/placement_core.hpp's PlacementCore (drainUntil/"
+                    "place) instead of committing placements by hand")
+
     def check_pragma_once(self) -> None:
         if not self.relpath.endswith((".hpp", ".h")):
             return
@@ -358,6 +394,7 @@ class FileLint:
         self.check_wallclock_in_lib()
         self.check_raw_bin_loop()
         self.check_raw_number_parse()
+        self.check_placement_commit()
         self.check_pragma_once()
         return self.findings
 
@@ -403,6 +440,8 @@ FIXTURE_EXPECTATIONS = {
     "src/io/bad_raw_parse.cpp": {"raw-number-parse"},
     "src/io/raw_parse_suppressed_ok.cpp": set(),
     "src/util/parse.hpp": set(),
+    "src/sim/bad_placement_commit.cpp": {"placement-commit"},
+    "src/sim/placement_core.cpp": set(),
 }
 
 
