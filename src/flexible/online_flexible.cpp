@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "core/epsilon.hpp"
+#include "sim/placement_core.hpp"
 
 namespace cdbp {
 
@@ -66,7 +66,8 @@ FlexOnlineResult simulateFlexibleOnline(const FlexibleInstance& instance,
         "use kIndexed or kLinearScan");
   }
   policy.reset();
-  BinManager bins(options.engine == PlacementEngine::kIndexed);
+  BasicPlacementCore<ScalarResource> core(
+      policy.name(), options.engine == PlacementEngine::kIndexed);
   std::vector<Time> starts(instance.size(),
                            std::numeric_limits<Time>::quiet_NaN());
   std::vector<BinId> binOf(instance.size(), kUnassigned);
@@ -86,46 +87,18 @@ FlexOnlineResult simulateFlexibleOnline(const FlexibleInstance& instance,
   std::size_t nextRelease = 0;
   std::vector<ItemId> pending;
 
-  using Departure = std::pair<Time, ItemId>;
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures;
-
-  auto placeJob = [&](const FlexibleJob& job, BinId target, Time now,
-                      bool forced) {
-    if (target == kNewBin) {
-      target = bins.openBin(0, now);
-      // cdbp-analyze: allow(engine-bypass): simulator-side validation re-check of the policy's answer, not a policy query
-    } else if (!bins.wouldFit(target, job.size)) {
-      // Validation re-check: wouldFit is the uncounted twin of fits(), so
-      // sim.fit_checks measures policy-issued queries only.
-      throw std::logic_error(policy.name() + " started job " +
-                             std::to_string(job.id) +
-                             " into an infeasible bin");
-    }
-    bins.addItem(target, job.size);
-    starts[job.id] = now;
-    binOf[job.id] = target;
-    departures.emplace(now + job.length, job.id);
-    if (forced) ++forcedStarts;
-    policy.onPlaced(target, now + job.length);
-  };
-
   while (nextRelease < byRelease.size() || !pending.empty() ||
-         !departures.empty()) {
-    // Next event time: earliest of release / departure / forced start.
-    Time t = kTimeInfinity;
+         core.pendingDepartures() > 0) {
+    // Next event time: earliest of departure / release / forced start.
+    Time t = core.nextDeparture();
     if (nextRelease < byRelease.size()) {
       t = std::min(t, instance[byRelease[nextRelease]].release);
     }
-    if (!departures.empty()) t = std::min(t, departures.top().first);
     for (ItemId id : pending) t = std::min(t, instance[id].latestStart());
 
-    // 1. Departures free capacity first (half-open intervals).
-    while (!departures.empty() && departures.top().first <= t + kTimeEps) {
-      ItemId gone = departures.top().second;
-      departures.pop();
-      bins.removeItem(binOf[gone], instance[gone].size);
-    }
+    // 1. Departures free capacity first (half-open intervals), with the
+    // same tolerance as the release and forced-start tests below.
+    core.drainUntil(t + kTimeEps);
     // 2. Releases at t join the pending set.
     while (nextRelease < byRelease.size() &&
            instance[byRelease[nextRelease]].release <= t + kTimeEps) {
@@ -140,11 +113,17 @@ FlexOnlineResult simulateFlexibleOnline(const FlexibleInstance& instance,
       for (std::size_t i = 0; i < pending.size();) {
         const FlexibleJob& job = instance[pending[i]];
         bool forced = t >= job.latestStart() - kTimeEps;
-        PlacementView view(bins, t);
-        FlexDecision decision = policy.consider(view, job, t);
+        FlexDecision decision =
+            policy.consider(PlacementView(core.bins(), t), job, t);
         if (decision.startNow || forced) {
+          // A forced job the policy defers gets a fresh bin.
           BinId target = decision.startNow ? decision.bin : kNewBin;
-          placeJob(job, target, t, forced);
+          const Time end = t + job.length;
+          BinId bin = core.commit(job.id, job.size, t, end, target, 0).bin;
+          starts[job.id] = t;
+          binOf[job.id] = bin;
+          if (forced) ++forcedStarts;
+          policy.onPlaced(bin, end);
           pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
           placedAny = true;
         } else {
@@ -159,7 +138,7 @@ FlexOnlineResult simulateFlexibleOnline(const FlexibleInstance& instance,
   result.fixedInstance = std::make_shared<Instance>(instance.materialize(starts));
   result.packing = Packing(*result.fixedInstance, std::move(binOf));
   result.totalUsage = result.packing.totalUsage();
-  result.binsOpened = bins.binsOpened();
+  result.binsOpened = core.bins().binsOpened();
   result.forcedStarts = forcedStarts;
   return result;
 }

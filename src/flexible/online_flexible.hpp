@@ -5,8 +5,11 @@
 // of the paper's §6 flexible-jobs extension.
 //
 // The simulator is event-driven: at every event (job release, departure,
-// forced-start deadline) the policy reconsiders all pending jobs; a job
-// still pending at its latest start time is force-placed by First Fit.
+// forced-start deadline) the policy reconsiders all pending jobs. A job
+// whose latest start time has come starts now whatever the policy says:
+// in the policy's bin when it starts the job, in a fresh bin when it
+// defers it. Each start goes through the shared placement step
+// (sim/placement_core.hpp), which also drains departures.
 #pragma once
 
 #include <memory>
@@ -94,7 +97,8 @@ struct FlexSimOptions {
 };
 
 /// Runs the event-driven online simulation. Throws std::logic_error when a
-/// policy starts a job into an infeasible bin.
+/// policy starts a job in a bin that does not exist, is closed or cannot
+/// hold the job.
 FlexOnlineResult simulateFlexibleOnline(const FlexibleInstance& instance,
                                         FlexOnlinePolicy& policy,
                                         const FlexSimOptions& options = {});

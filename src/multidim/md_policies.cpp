@@ -2,37 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/epsilon.hpp"
-#include "sim/bin_manager.hpp"
+#include "sim/placement_core.hpp"
 
 namespace cdbp {
-
-namespace {
-
-// Same flat, pre-sorted timeline as the scalar simulator: departures order
-// before arrivals at the same instant (the old departure heap drained
-// everything with time <= the arrival), and simultaneous departures drain
-// in item-id order — the heap's (time, id) pop order — so bin levels
-// evolve through the identical sequence of floating-point updates.
-enum : std::uint8_t { kDeparture = 0, kArrival = 1 };
-
-struct TimelineEvent {
-  Time time;
-  ItemId item;
-  std::uint8_t kind;
-};
-
-bool timelineBefore(const TimelineEvent& a, const TimelineEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  return a.item < b.item;
-}
-
-}  // namespace
 
 MdClassifyPolicy::MdClassifyPolicy(Config config) : config_(config) {
   if (config_.categories == MdCategoryRule::kDeparture && !(config_.rho > 0)) {
@@ -104,51 +80,26 @@ MdSimResult mdSimulateOnline(const MdInstance& instance, MdOnlinePolicy& policy,
         "use kIndexed or kLinearScan");
   }
   policy.reset();
-  BasicBinManager<VectorResource> bins(
-      options.engine == PlacementEngine::kIndexed,
+  BasicPlacementCore<VectorResource> core(
+      policy.name(), options.engine == PlacementEngine::kIndexed,
       VectorResource::Shape{instance.dims()});
   std::vector<BinId> binOf(instance.size(), kUnassigned);
   std::size_t maxOpen = 0;
-
-  std::vector<TimelineEvent> events;
-  events.reserve(2 * instance.size());
-  for (const MdItem& r : instance.items()) {
-    events.push_back({r.arrival(), r.id, kArrival});
-    events.push_back({r.departure(), r.id, kDeparture});
-  }
-  std::sort(events.begin(), events.end(), timelineBefore);
-
-  std::size_t arrivalsLeft = instance.size();
-  for (std::size_t cursor = 0; cursor < events.size() && arrivalsLeft > 0;
-       ++cursor) {
-    const TimelineEvent& e = events[cursor];
-    if (e.kind == kDeparture) {
-      bins.removeItem(binOf[e.item], instance[e.item].demand);
-      continue;
-    }
-    const MdItem& r = instance[e.item];
-    --arrivalsLeft;
-
-    MdPlacementView view(bins, r.arrival());
+  for (const MdItem& r : instance.sortedByArrival()) {
+    core.drainUntil(r.arrival());
     int category = 0;
-    BinId target = policy.place(view, r, &category);
-    if (target == kNewBin) {
-      target = bins.openBin(category, r.arrival());
-      // cdbp-analyze: allow(engine-bypass): simulator-side validation re-check of the policy's answer, not a policy query
-    } else if (!bins.wouldFit(target, r.demand)) {
-      // Validation re-check: wouldFit is the uncounted twin of fits(), so
-      // sim.fit_checks measures policy-issued queries only.
-      throw std::logic_error(policy.name() + " made an infeasible placement");
-    }
-    bins.addItem(target, r.demand);
-    binOf[r.id] = target;
-    maxOpen = std::max(maxOpen, bins.openCount());
+    BinId target =
+        policy.place(MdPlacementView(core.bins(), r.arrival()), r, &category);
+    auto placed = core.commit(r.id, r.demand, r.arrival(), r.departure(),
+                              target, category);
+    binOf[r.id] = placed.bin;
+    maxOpen = std::max(maxOpen, core.bins().openCount());
   }
 
   MdSimResult result;
   result.packing = MdPacking(instance, std::move(binOf));
   result.totalUsage = result.packing.totalUsage();
-  result.binsOpened = bins.binsOpened();
+  result.binsOpened = core.bins().binsOpened();
   result.maxOpenBins = maxOpen;
   return result;
 }

@@ -7,12 +7,11 @@
 // dimension) and Dominant-Resource Best Fit (fitting bin minimizing the
 // post-placement dominant coordinate — a vector-bin-packing heuristic).
 //
-// PR 4: the bespoke MdBinManager is gone. Multidim packing runs on the
-// generic substrate — BasicBinManager<VectorResource> holds the open-bin
-// state and policies query a BasicPlacementView<VectorResource>, so both
-// placement engines (sublinear indexed and linear-scan reference), the
-// CDBP_CHECK contracts, and the sim.* telemetry counters are shared with
-// the scalar simulator.
+// The simulator drives the shared placement step over the vector resource
+// model (BasicPlacementCore<VectorResource>, sim/placement_core.hpp):
+// policies query a BasicPlacementView<VectorResource>, so both placement
+// engines, the decision validation and the sim.* telemetry counters are
+// the scalar simulator's.
 #pragma once
 
 #include <memory>
@@ -93,7 +92,8 @@ struct MdSimResult {
 };
 
 /// Arrival-order simulation with close-on-empty bins, as in the scalar
-/// simulator. Throws std::logic_error on infeasible policy decisions.
+/// simulator. Throws std::logic_error when the policy names a bin that
+/// does not exist, is closed or cannot hold the item.
 MdSimResult mdSimulateOnline(const MdInstance& instance, MdOnlinePolicy& policy,
                              const MdSimOptions& options = {});
 

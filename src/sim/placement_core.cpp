@@ -1,11 +1,7 @@
 #include "sim/placement_core.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
-
-#include "sim/placement_view.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace cdbp {
 
@@ -65,73 +61,9 @@ Item checkedAnnounce(const std::function<Item(const Item&)>& announce,
   return announced;
 }
 
+template class BasicPlacementCore<ScalarResource>;
+
 PlacementCore::PlacementCore(OnlinePolicy& policy, bool indexed)
-    : policy_(policy), bins_(indexed) {}
-
-bool PlacementCore::popDeparture(PendingDeparture& dep) {
-  std::pop_heap(pending_.begin(), pending_.end(), laterDeparture);
-  dep = pending_.back();
-  pending_.pop_back();
-  bool closed = bins_.removeItem(dep.bin, dep.size);
-  if (closed) {
-    usageByBin_[static_cast<std::size_t>(dep.bin)] =
-        dep.time - bins_.info(dep.bin).openedAt;
-  }
-  CDBP_TELEM_COUNT("sim.events_processed", 1);
-  return closed;
-}
-
-Placement PlacementCore::place(const Item& item, const Item& announced) {
-  const Time now = item.arrival();
-  PlacementDecision decision =
-      policy_.place(PlacementView(bins_, now), announced);
-  Placement placed;
-  placed.item = item.id;
-  placed.openedNewBin = decision.bin == kNewBin;
-  placed.openBinsBefore = bins_.openCount();
-  BinId target = decision.bin;
-  if (placed.openedNewBin) {
-    target = bins_.openBin(decision.category, now);
-    usageByBin_.push_back(0);  // slot == id: one push per openBin
-    CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
-  } else {
-    CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
-    if (!bins_.info(target).open) {
-      throw std::logic_error(policy_.name() + " placed item " +
-                             std::to_string(item.id) + " in closed bin " +
-                             std::to_string(target));
-    }
-    // Validation re-check: wouldFit is the uncounted twin of fits(), so
-    // sim.fit_checks measures policy-issued queries only.
-    if (!bins_.wouldFit(target, item.size)) {
-      throw std::logic_error(policy_.name() + " overfilled bin " +
-                             std::to_string(target) + " with item " +
-                             std::to_string(item.id));
-    }
-  }
-  const BinManager::BinInfo& bin = bins_.info(target);
-  placed.bin = target;
-  placed.category = bin.category;
-  placed.binLevelBefore = bin.level;
-  bins_.addItem(target, item.size);
-  pending_.push_back({item.departure(), item.id, target, item.size});
-  std::push_heap(pending_.begin(), pending_.end(), laterDeparture);
-  CDBP_TELEM_COUNT("sim.events_processed", 1);
-  CDBP_TELEM_HIST("sim.item_size_permille", item.size * 1000.0);
-  return placed;
-}
-
-Time PlacementCore::totalUsage() const {
-  Time total = 0;
-  for (Time usage : usageByBin_) total += usage;
-  return total;
-}
-
-std::size_t PlacementCore::residentBytes() const {
-  return pending_.capacity() * sizeof(PendingDeparture) +
-         usageByBin_.capacity() * sizeof(Time) +
-         bins_.binsOpened() * sizeof(BinManager::BinInfo) +
-         bins_.openCount() * 2 * sizeof(BinId);
-}
+    : BasicPlacementCore(policy.name(), indexed), policy_(policy) {}
 
 }  // namespace cdbp

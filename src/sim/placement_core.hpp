@@ -1,17 +1,24 @@
-// The one scalar placement step (paper §3.1, §5): an arriving item goes
-// into an open bin or a new one, and a bin closes for good when its last
-// item departs. StreamEngine drives one PlacementCore (and simulateOnline
-// drives a StreamEngine); the sharded engine drives one per shard. What an
-// engine adds on top — the lower bound, observers, single-timeline
-// telemetry, cross-shard logs — stays in the engine, so the placement code
-// exists once (DESIGN.md §9.2). ArrivalValidator and checkedAnnounce are
-// the input contracts the engines share.
+// The one placement step (paper §3.1, §5): an arriving item goes into an
+// open bin or a new one, and a bin closes for good when its last item
+// departs. BasicPlacementCore<R> drains departures and validates and
+// commits a policy's decision for any Resource model whose bins close;
+// PlacementCore asks the scalar OnlinePolicy first. Every online simulator
+// drives one (DESIGN.md §9.2): StreamEngine (and through it
+// simulateOnline), each sharded shard, and the multidim and flexible-start
+// simulators. What an engine adds on top — the lower bound, observers,
+// single-timeline telemetry, cross-shard logs — stays in the engine.
+// ArrivalValidator and checkedAnnounce are the input contracts the scalar
+// engines share.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/epsilon.hpp"
@@ -19,11 +26,13 @@
 #include "core/types.hpp"
 #include "online/policy.hpp"
 #include "sim/bin_manager.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cdbp {
 
 /// One committed placement.
-struct Placement {
+template <typename R>
+struct BasicPlacement {
   ItemId item = 0;
   BinId bin = 0;
   bool openedNewBin = false;
@@ -32,26 +41,30 @@ struct Placement {
   /// this item).
   std::size_t openBinsBefore = 0;
   /// Level of the chosen bin before this item was added.
-  double binLevelBefore = 0;
+  typename R::Level binLevelBefore{};
 };
+
+using Placement = BasicPlacement<ScalarResource>;
 
 /// One pending departure per arrived-but-not-departed item, popped in
 /// (time, id) order: simultaneous departures drain in item-id order, so
 /// bin levels evolve through one fixed sequence of floating-point updates.
-struct PendingDeparture {
+template <typename R>
+struct BasicPendingDeparture {
   Time time;
   ItemId item;
   BinId bin;
-  Size size;
+  typename R::Demand size;
 };
+
+using PendingDeparture = BasicPendingDeparture<ScalarResource>;
 
 /// std::push_heap/pop_heap maintain a max-heap w.r.t. the comparator;
 /// "later departure wins" turns that into a min-heap on (time, id).
-inline bool laterDeparture(const PendingDeparture& a,
-                           const PendingDeparture& b) {
+inline constexpr auto laterDeparture = [](const auto& a, const auto& b) {
   if (a.time != b.time) return a.time > b.time;
   return a.item > b.item;
-}
+};
 
 /// Incremental mirror of StepFunction::ceilIntegral(kSizeEps) over the
 /// running total-size profile S(t): each event first settles the segment
@@ -114,11 +127,21 @@ class ArrivalValidator {
 Item checkedAnnounce(const std::function<Item(const Item&)>& announce,
                      const Item& item);
 
-class PlacementCore {
+/// The placement step over resource model R: departures, validation and
+/// commit. The policy query stays with the simulator that owns the core.
+template <typename R>
+class BasicPlacementCore {
  public:
-  /// `policy` must outlive the core; it is not reset() here. `indexed`
-  /// selects the BinManager engine.
-  PlacementCore(OnlinePolicy& policy, bool indexed);
+  using Manager = BasicBinManager<R>;
+  using Demand = typename R::Demand;
+  using Departure = BasicPendingDeparture<R>;
+
+  /// `policyName` names the deciding policy in commit()'s errors;
+  /// `indexed` selects the BinManager engine; `shape` is the resource
+  /// model's per-manager configuration.
+  BasicPlacementCore(std::string policyName, bool indexed,
+                     typename R::Shape shape = {})
+      : policyName_(std::move(policyName)), bins_(indexed, shape) {}
 
   /// Pops every pending departure due at or before `time` in (time, id)
   /// order, calling `onDeparture(dep, closedBin)` after each removal.
@@ -127,7 +150,7 @@ class PlacementCore {
   std::size_t drainUntil(Time time, OnDeparture&& onDeparture) {
     std::size_t drained = 0;
     while (!pending_.empty() && pending_.front().time <= time) {
-      PendingDeparture dep;
+      Departure dep;
       bool closed = popDeparture(dep);
       onDeparture(dep, closed);
       ++drained;
@@ -135,32 +158,138 @@ class PlacementCore {
     return drained;
   }
 
-  /// Shows `announced` to the policy at `item`'s arrival, validates the
-  /// answer (std::logic_error on a closed or overfilled bin) and commits
-  /// `item` — the true departure — to the chosen bin. The caller drains
-  /// first.
-  Placement place(const Item& item, const Item& announced);
+  std::size_t drainUntil(Time time) {
+    return drainUntil(time, [](const Departure&, bool) {});
+  }
 
-  const BinManager& bins() const { return bins_; }
+  /// Validates a policy's decision for an item of `demand` arriving at
+  /// `now` and departing at `departure` — std::logic_error when `target`
+  /// names no bin, a closed bin, or a bin the item would overfill — and
+  /// commits it: kNewBin opens a bin tagged `category`. The caller drains
+  /// first.
+  BasicPlacement<R> commit(ItemId item, const Demand& demand, Time now,
+                           Time departure, BinId target, int category);
+
+  const Manager& bins() const { return bins_; }
   std::size_t pendingDepartures() const { return pending_.size(); }
+
+  /// Time of the earliest pending departure; kTimeInfinity when none.
+  Time nextDeparture() const {
+    return pending_.empty() ? kTimeInfinity : pending_.front().time;
+  }
 
   /// Usage (close - open) per bin id; 0 for a bin still open.
   const std::vector<Time>& usageByBin() const { return usageByBin_; }
 
   /// Sum of usageByBin in bin-id order, the addition order of
   /// Packing::totalUsage().
-  Time totalUsage() const;
+  Time totalUsage() const {
+    Time total = 0;
+    for (Time usage : usageByBin_) total += usage;
+    return total;
+  }
 
   /// Estimated bytes held: departure heap, usage ledger, bin metadata.
-  std::size_t residentBytes() const;
+  std::size_t residentBytes() const {
+    return pending_.capacity() * sizeof(Departure) +
+           usageByBin_.capacity() * sizeof(Time) +
+           bins_.binsOpened() * sizeof(typename Manager::BinInfo) +
+           bins_.openCount() * 2 * sizeof(BinId);
+  }
 
  private:
-  bool popDeparture(PendingDeparture& dep);  // true when the bin closed
+  bool popDeparture(Departure& dep);  // true when the bin closed
+  [[noreturn]] void reject(ItemId item, BinId target, const char* what) const;
 
-  OnlinePolicy& policy_;
-  BinManager bins_;
-  std::vector<PendingDeparture> pending_;  // min-heap on (time, id)
+  std::string policyName_;
+  Manager bins_;
+  std::vector<Departure> pending_;  // min-heap on (time, id)
   std::vector<Time> usageByBin_;
+};
+
+template <typename R>
+bool BasicPlacementCore<R>::popDeparture(Departure& dep) {
+  std::pop_heap(pending_.begin(), pending_.end(), laterDeparture);
+  dep = std::move(pending_.back());
+  pending_.pop_back();
+  bool closed = bins_.removeItem(dep.bin, dep.size);
+  if (closed) {
+    usageByBin_[static_cast<std::size_t>(dep.bin)] =
+        dep.time - bins_.info(dep.bin).openedAt;
+  }
+  CDBP_TELEM_COUNT("sim.events_processed", 1);
+  return closed;
+}
+
+template <typename R>
+void BasicPlacementCore<R>::reject(ItemId item, BinId target,
+                                   const char* what) const {
+  throw std::logic_error(policyName_ + " placed item " + std::to_string(item) +
+                         " in bin " + std::to_string(target) + ", " + what);
+}
+
+template <typename R>
+BasicPlacement<R> BasicPlacementCore<R>::commit(ItemId item,
+                                                const Demand& demand, Time now,
+                                                Time departure, BinId target,
+                                                int category) {
+  BasicPlacement<R> placed;
+  placed.item = item;
+  placed.openedNewBin = target == kNewBin;
+  placed.openBinsBefore = bins_.openCount();
+  if (placed.openedNewBin) {
+    target = bins_.openBin(category, now);
+    usageByBin_.push_back(0);  // slot == id: one push per openBin
+    CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
+  } else {
+    CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
+    // Unsigned compare: a negative id other than kNewBin is out of range.
+    if (static_cast<std::size_t>(target) >= bins_.binsOpened()) {
+      reject(item, target, "which does not exist");
+    }
+    if (!bins_.info(target).open) reject(item, target, "which is closed");
+    // Validation re-check: wouldFit is the uncounted twin of fits(), so
+    // sim.fit_checks measures policy-issued queries only.
+    if (!bins_.wouldFit(target, demand)) {
+      reject(item, target, "which it overfills");
+    }
+  }
+  const typename Manager::BinInfo& bin = bins_.info(target);
+  placed.bin = target;
+  placed.category = bin.category;
+  placed.binLevelBefore = bin.level;
+  bins_.addItem(target, demand);
+  pending_.push_back({departure, item, target, demand});
+  std::push_heap(pending_.begin(), pending_.end(), laterDeparture);
+  CDBP_TELEM_COUNT("sim.events_processed", 1);
+  return placed;
+}
+
+extern template class BasicPlacementCore<ScalarResource>;
+
+/// The scalar step: asks the OnlinePolicy, then commits its decision.
+class PlacementCore : public BasicPlacementCore<ScalarResource> {
+ public:
+  /// `policy` must outlive the core; it is not reset() here. `indexed`
+  /// selects the BinManager engine.
+  PlacementCore(OnlinePolicy& policy, bool indexed);
+
+  /// Shows `announced` to the policy at `item`'s arrival, validates the
+  /// answer and commits `item` — the true departure — to the chosen bin.
+  /// The caller drains first. Inline, so an engine's per-item path makes
+  /// one out-of-line call (commit) besides the policy's.
+  Placement place(const Item& item, const Item& announced) {
+    PlacementDecision decision =
+        policy_.place(PlacementView(bins(), item.arrival()), announced);
+    Placement placed = commit(item.id, item.size, item.arrival(),
+                              item.departure(), decision.bin,
+                              decision.category);
+    CDBP_TELEM_HIST("sim.item_size_permille", item.size * 1000.0);
+    return placed;
+  }
+
+ private:
+  OnlinePolicy& policy_;
 };
 
 }  // namespace cdbp

@@ -51,13 +51,15 @@ mechanically over ``src/``, ``tests/``, ``bench/`` and ``examples/``:
                      ``tryParseDouble``/``tryParseUint``/``tryParseLong``
                      helpers in ``util/parse.hpp``, which reject trailing
                      junk.
-  placement-commit   No ``openBin(``/``addItem(``/``removeItem(`` calls on a
-                     bin manager under ``src/sim/`` and ``src/serve/``
-                     outside the placement core (``sim/placement_core.*``)
-                     and the manager itself (``sim/bin_manager.*``). The
-                     scalar engines all drive the one placement step; a
-                     second copy of the commit code would let their
-                     packings drift apart.
+  placement-commit   No ``openBin(``/``addItem(``/``removeItem(``/
+                     ``wouldFit(`` calls on a bin manager under
+                     ``src/sim/``, ``src/serve/``, ``src/multidim/`` and
+                     ``src/flexible/`` outside the placement core
+                     (``sim/placement_core.*``) and the manager itself
+                     (``sim/bin_manager.*``). The scalar engines and the
+                     multidim and flexible-start simulators all drive the
+                     one placement step; a second copy of the validate-
+                     and-commit code would let their packings drift apart.
 
 Suppressing a finding
 ---------------------
@@ -141,14 +143,16 @@ RAW_PARSE_RE = re.compile(
 # The checked helpers live here; they wrap std::from_chars directly.
 RAW_PARSE_EXEMPT = ("util/parse.hpp",)
 
-# A bin-manager mutation: the commit half of a placement step.
+# A bin-manager mutation or the uncounted validation probe: the validate-
+# and-commit half of a placement step.
 PLACEMENT_COMMIT_RE = re.compile(
-    r"(?:\.|->)\s*(?:openBin|addItem|removeItem)\s*\("
+    r"(?:\.|->)\s*(?:openBin|addItem|removeItem|wouldFit)\s*\("
 )
 
-# The scalar engines live here and must share one placement step; the
-# multidim, flexible and offline modules keep their own loops.
-PLACEMENT_COMMIT_DIRS = ("src/sim/", "src/serve/")
+# The engines that must share one placement step. The offline module
+# keeps its own append-only First Fit passes (bins never close there).
+PLACEMENT_COMMIT_DIRS = ("src/sim/", "src/serve/", "src/multidim/",
+                         "src/flexible/")
 PLACEMENT_COMMIT_EXEMPT = (
     "src/sim/placement_core.hpp",
     "src/sim/placement_core.cpp",
@@ -375,8 +379,8 @@ class FileLint:
                 self.report(
                     idx, "placement-commit",
                     "bin-manager mutation outside the placement core; drive "
-                    "sim/placement_core.hpp's PlacementCore (drainUntil/"
-                    "place) instead of committing placements by hand")
+                    "sim/placement_core.hpp's BasicPlacementCore (drainUntil/"
+                    "commit) instead of committing placements by hand")
 
     def check_pragma_once(self) -> None:
         if not self.relpath.endswith((".hpp", ".h")):
@@ -441,6 +445,7 @@ FIXTURE_EXPECTATIONS = {
     "src/io/raw_parse_suppressed_ok.cpp": set(),
     "src/util/parse.hpp": set(),
     "src/sim/bad_placement_commit.cpp": {"placement-commit"},
+    "src/multidim/bad_placement_commit.cpp": {"placement-commit"},
     "src/sim/placement_core.cpp": set(),
 }
 
