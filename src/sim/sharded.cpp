@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -16,7 +15,6 @@
 #include "sim/placement_core.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/arena.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -25,29 +23,22 @@ namespace cdbp {
 
 namespace {
 
-// Workers are per-shard FIFO loops, so more shards than this only adds
-// queue bookkeeping; a backstop against absurd --threads values.
+// Every shard holds one worker thread for the whole run, so more shards
+// than this only adds idle threads; a backstop against absurd --threads
+// values.
 constexpr std::size_t kMaxShards = 64;
 
-// One epoch's worth of arrivals, packed by the feed thread into per-shard
-// structure-of-arrays slices backed by the buffer's arena. Workers read
-// their slice only; the buffer returns to the free pool when the last
-// shard releases it (publication ordered by the shard queue mutexes on the
-// way in and releaseMutex on the way out).
-struct Slice {
-  ItemId* ids = nullptr;
-  Size* sizes = nullptr;
-  Time* arrivals = nullptr;
-  Time* departures = nullptr;          // true departures (drive the system)
-  Time* announcedDepartures = nullptr; // what the policy is shown
-  std::size_t count = 0;
+// One arrival as the feed thread hands it to a shard.
+struct Arrival {
+  ItemId id;
+  Size size;
+  Time arrival;
+  Time departure;           // true departure (drives the system)
+  Time announcedDeparture;  // what the policy is shown
 };
 
-struct EpochBuffer {
-  MonotonicArena arena;
-  std::vector<Slice> slices;  // indexed by shard
-  std::atomic<std::size_t> shardsLeft{0};
-};
+// One shard's share of one epoch, in arrival order.
+using Batch = std::vector<Arrival>;
 
 // What a shard's open/close log remembers per bin event; merged across
 // shards at finish() in (time, close-before-open, id) order to
@@ -65,14 +56,15 @@ struct CloseRec {
 
 struct ShardedSimulator::Impl {
   // One shard: one key group's placement core (bins, policy, pending
-  // departures keyed by global item id), driven by exactly one worker task
-  // at a time (the running flag below), so the hot-path state needs no
-  // locking of its own.
+  // departures keyed by global item id), driven by its own worker loop, so
+  // the hot-path state needs no locking of its own.
   struct Shard {
-    Shard(std::size_t indexIn, PolicyPtr ownedIn, OnlinePolicy& policy)
+    Shard(std::size_t indexIn, PolicyPtr ownedIn, OnlinePolicy& policy,
+          std::size_t depth)
         : index(indexIn),
           owned(std::move(ownedIn)),
-          core(policy, /*indexed=*/true) {}
+          core(policy, /*indexed=*/true),
+          slots(depth) {}
 
     const std::size_t index;
     PolicyPtr owned;  // clone (null in single-shard fallback)
@@ -81,23 +73,23 @@ struct ShardedSimulator::Impl {
     std::vector<CloseRec> closes;
     std::vector<std::pair<ItemId, BinId>> placements;  // capture mode
 
-    // FIFO work queue: epoch buffers plus one trailing drain marker
-    // (buffer == nullptr). `running` keeps at most one worker task alive
-    // per shard; successive tasks hand the (unlocked) hot-path state over
-    // through this mutex.
-    Mutex mutex;
-    std::deque<EpochBuffer*> queue CDBP_GUARDED_BY(mutex);
-    bool running CDBP_GUARDED_BY(mutex) = false;
-  };
+    // Feed-side only: this shard's arrivals of the epoch being filled.
+    Batch filling;
 
-  // Staged arrival, accumulated by feed() until the epoch is full.
-  struct Staged {
-    ItemId id;
-    Size size;
-    Time arrival;
-    Time departure;
-    Time announcedDeparture;
-    std::uint32_t shard;
+    // Bounded single-producer/single-consumer ring of epoch batches: the
+    // feed swaps `filling` into slot (front + count) % depth, the worker
+    // swaps slot `front` out, places it and only then advances, so
+    // `count` includes the batch being placed. Every swap trades a full
+    // batch for an empty one that keeps its capacity: steady state
+    // allocates nothing.
+    Mutex mutex;
+    // Signals count moved or closed. notify_one suffices: the feed waits
+    // only on a full ring and the worker only on an empty one.
+    std::condition_variable_any changed;
+    std::vector<Batch> slots CDBP_GUARDED_BY(mutex);
+    std::size_t front CDBP_GUARDED_BY(mutex) = 0;
+    std::size_t count CDBP_GUARDED_BY(mutex) = 0;
+    bool closed CDBP_GUARDED_BY(mutex) = false;  // no more batches follow
   };
 
   OnlinePolicy& prototype;
@@ -112,7 +104,7 @@ struct ShardedSimulator::Impl {
 
   std::unique_ptr<ThreadPool> pool;
 
-  std::vector<Staged> staged;
+  std::size_t epochFill = 0;  // arrivals fed since the last dispatch
   ArrivalValidator arrivals{"simulateSharded"};
   ItemId maxId = 0;
   bool finished = false;
@@ -122,15 +114,8 @@ struct ShardedSimulator::Impl {
   IncrementalLb3 lb3;
   std::vector<PendingDeparture> lb3Pending;
 
-  // Epoch buffer pool: owned here, cycled feed -> shards -> free list.
-  Mutex bufMutex;
-  std::condition_variable_any bufAvailable;
-  std::vector<std::unique_ptr<EpochBuffer>> allBuffers CDBP_GUARDED_BY(bufMutex);
-  std::vector<EpochBuffer*> freeBuffers CDBP_GUARDED_BY(bufMutex);
-  std::size_t buffersHandedOut CDBP_GUARDED_BY(bufMutex) = 0;
-
-  // First worker error wins; later slices become cheap no-ops but still
-  // release their buffers so the feed thread can never block forever.
+  // First worker error wins; later batches are discarded unplaced but
+  // still consumed, so the feed thread can never block forever.
   Mutex errMutex;
   std::exception_ptr firstError CDBP_GUARDED_BY(errMutex);
   std::atomic<bool> failed{false};
@@ -138,14 +123,14 @@ struct ShardedSimulator::Impl {
   Impl(OnlinePolicy& p, const ShardedOptions& o) : prototype(p), options(o) {
     if (options.epochArrivals == 0) options.epochArrivals = 1;
     if (options.maxEpochsInFlight == 0) options.maxEpochsInFlight = 1;
-    staged.reserve(options.epochArrivals);
   }
 
   ~Impl() {
-    // Joining the pool first is what makes destruction safe: workers may
-    // still reference shards and buffers. Mark failed so queued slices
-    // fall through fast.
+    // Closing the rings and joining the pool first is what makes
+    // destruction safe: workers reference the shards. Mark failed so
+    // queued batches are discarded fast.
     failed.store(true, std::memory_order_relaxed);
+    closeRings();
     pool.reset();
   }
 
@@ -172,44 +157,45 @@ struct ShardedSimulator::Impl {
 
   // --- Mode decision (first item) -----------------------------------
 
-  void decideMode(const Item& announced) {
+  void decideMode(bool keyed) {
     modeDecided = true;
-    std::size_t count = 1;
-    if (prototype.shardKey(announced).has_value()) {
-      if (PolicyPtr probe = prototype.clone()) {
-        partitioned = true;
-        count = configuredShardCount();
-      }
-      // A key without clone() support cannot be replicated per shard;
-      // fall back to the single-shard path silently — it is always
-      // correct, just not parallel.
-    }
+    // A key without clone() support cannot be replicated per shard; fall
+    // back to the single-shard path silently — it is always correct, just
+    // not parallel.
+    PolicyPtr first = keyed ? prototype.clone() : nullptr;
+    partitioned = first != nullptr;
+    const std::size_t count = partitioned ? configuredShardCount() : 1;
     shards.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
-      PolicyPtr owned = partitioned ? prototype.clone() : nullptr;
+      PolicyPtr owned = s == 0 ? std::move(first) : prototype.clone();
       OnlinePolicy& policy = owned ? *owned : prototype;
       policy.reset();
-      shards.push_back(std::make_unique<Shard>(s, std::move(owned), policy));
+      shards.push_back(std::make_unique<Shard>(s, std::move(owned), policy,
+                                               options.maxEpochsInFlight));
     }
     pool = std::make_unique<ThreadPool>(count);
+    for (auto& shard : shards) {
+      pool->submit([this, worker = shard.get()] { runShard(*worker); });
+    }
     result.shards = count;
   }
 
-  std::uint32_t shardOf(const Item& announced) {
-    if (!partitioned) return 0;
+  Shard& shardOf(const Item& announced) {
+    if (modeDecided && !partitioned) return *shards[0];
     std::optional<long long> key = prototype.shardKey(announced);
+    if (!modeDecided) decideMode(key.has_value());
+    if (!partitioned) return *shards[0];
     if (!key.has_value()) {
       throw std::logic_error(
           prototype.name() +
           ": shardKey must be engaged for all items or for none");
     }
-    auto [it, inserted] = keyToShard.try_emplace(
-        *key, static_cast<std::uint32_t>(nextShardRoundRobin));
+    auto [it, inserted] = keyToShard.try_emplace(*key, nextShardRoundRobin);
     if (inserted) {
       nextShardRoundRobin = static_cast<std::uint32_t>(
           (nextShardRoundRobin + 1) % shards.size());
     }
-    return it->second;
+    return *shards[it->second];
   }
 
   // --- Feed side ------------------------------------------------------
@@ -222,11 +208,9 @@ struct ShardedSimulator::Impl {
     rethrowIfFailed();
 
     Item announced = checkedAnnounce(options.announce, item);
-    if (!modeDecided) decideMode(announced);
-
-    std::uint32_t shard = shardOf(announced);
-    staged.push_back({item.id, item.size, item.arrival(), item.departure(),
-                      announced.departure(), shard});
+    shardOf(announced).filling.push_back({item.id, item.size, item.arrival(),
+                                          item.departure(),
+                                          announced.departure()});
     ++result.items;
     maxId = std::max(maxId, item.id);
 
@@ -241,7 +225,7 @@ struct ShardedSimulator::Impl {
           std::max(result.peakOpenItems, lb3Pending.size());
     }
 
-    if (staged.size() >= options.epochArrivals) dispatchEpoch();
+    if (++epochFill >= options.epochArrivals) dispatchEpoch();
   }
 
   void drainLb3(Time time) {
@@ -252,113 +236,66 @@ struct ShardedSimulator::Impl {
     }
   }
 
-  EpochBuffer* acquireBuffer() {
-    MutexLock lock(bufMutex);
-    while (freeBuffers.empty() &&
-           buffersHandedOut >= options.maxEpochsInFlight) {
-      bufAvailable.wait(bufMutex);
-    }
-    EpochBuffer* buf;
-    if (!freeBuffers.empty()) {
-      buf = freeBuffers.back();
-      freeBuffers.pop_back();
-    } else {
-      allBuffers.push_back(std::make_unique<EpochBuffer>());
-      buf = allBuffers.back().get();
-    }
-    ++buffersHandedOut;
-    return buf;
-  }
-
-  void releaseBuffer(EpochBuffer* buf) {
-    MutexLock lock(bufMutex);
-    freeBuffers.push_back(buf);
-    --buffersHandedOut;
-    bufAvailable.notify_one();
-  }
-
+  // Hands every shard its share of the epoch, blocking on a shard whose
+  // ring already holds maxEpochsInFlight batches.
   void dispatchEpoch() {
-    if (staged.empty()) return;
+    if (epochFill == 0) return;
+    epochFill = 0;
     ++result.epochs;
-    EpochBuffer* buf = acquireBuffer();
-    buf->arena.reset();
-    buf->slices.assign(shards.size(), Slice{});
-
-    for (const Staged& st : staged) ++buf->slices[st.shard].count;
-    std::size_t nonEmpty = 0;
-    for (Slice& slice : buf->slices) {
-      if (slice.count == 0) continue;
-      ++nonEmpty;
-      slice.ids = buf->arena.allocate<ItemId>(slice.count);
-      slice.sizes = buf->arena.allocate<Size>(slice.count);
-      slice.arrivals = buf->arena.allocate<Time>(slice.count);
-      slice.departures = buf->arena.allocate<Time>(slice.count);
-      slice.announcedDepartures = buf->arena.allocate<Time>(slice.count);
-      slice.count = 0;  // becomes the fill cursor below
-    }
-    for (const Staged& st : staged) {
-      Slice& slice = buf->slices[st.shard];
-      slice.ids[slice.count] = st.id;
-      slice.sizes[slice.count] = st.size;
-      slice.arrivals[slice.count] = st.arrival;
-      slice.departures[slice.count] = st.departure;
-      slice.announcedDepartures[slice.count] = st.announcedDeparture;
-      ++slice.count;
-    }
-    staged.clear();
-
-    buf->shardsLeft.store(nonEmpty, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (buf->slices[s].count > 0) enqueue(*shards[s], buf);
+    for (auto& owned : shards) {
+      Shard& shard = *owned;
+      if (shard.filling.empty()) continue;
+      MutexLock lock(shard.mutex);
+      while (shard.count == shard.slots.size()) shard.changed.wait(shard.mutex);
+      std::size_t back = (shard.front + shard.count) % shard.slots.size();
+      std::swap(shard.filling, shard.slots[back]);
+      ++shard.count;
+      shard.changed.notify_one();
     }
   }
 
-  // Queues work for a shard and wakes its worker loop if idle. `buf` is
-  // an epoch buffer, or nullptr for the trailing full drain.
-  void enqueue(Shard& shard, EpochBuffer* buf) {
-    bool start = false;
-    {
+  void closeRings() {
+    for (auto& owned : shards) {
+      Shard& shard = *owned;
       MutexLock lock(shard.mutex);
-      shard.queue.push_back(buf);
-      if (!shard.running) {
-        shard.running = true;
-        start = true;
-      }
-    }
-    if (start) {
-      pool->submit([this, &shard] { runShard(shard); });
+      shard.closed = true;
+      shard.changed.notify_one();
     }
   }
 
   // --- Worker side ----------------------------------------------------
 
+  // The shard's whole run: place each batch in ring order, then, once the
+  // ring is closed and empty, drain the remaining departures.
   void runShard(Shard& shard) {
+    Batch batch;
     for (;;) {
-      EpochBuffer* buf;
       {
         MutexLock lock(shard.mutex);
-        if (shard.queue.empty()) {
-          shard.running = false;
-          return;
+        while (shard.count == 0 && !shard.closed) {
+          shard.changed.wait(shard.mutex);
         }
-        buf = shard.queue.front();
-        shard.queue.pop_front();
+        if (shard.count == 0) break;
+        std::swap(batch, shard.slots[shard.front]);
       }
       if (!failed.load(std::memory_order_relaxed)) {
         try {
-          if (buf != nullptr) {
-            processSlice(shard, buf->slices[shard.index]);
-          } else {
-            drainShard(shard, std::numeric_limits<Time>::infinity());
-          }
+          placeBatch(shard, batch);
         } catch (...) {
           recordError(std::current_exception());
         }
       }
-      if (buf != nullptr &&
-          buf->shardsLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        releaseBuffer(buf);
-      }
+      batch.clear();
+      MutexLock lock(shard.mutex);
+      shard.front = (shard.front + 1) % shard.slots.size();
+      --shard.count;
+      shard.changed.notify_one();
+    }
+    if (failed.load(std::memory_order_relaxed)) return;
+    try {
+      drainShard(shard, std::numeric_limits<Time>::infinity());
+    } catch (...) {
+      recordError(std::current_exception());
     }
   }
 
@@ -368,17 +305,14 @@ struct ShardedSimulator::Impl {
   // The per-placement scan histogram is skipped: with concurrent shards
   // the global fit-check counter cannot be attributed to one placement
   // (the run_many caveat); the aggregate counter stays exact.
-  void processSlice(Shard& shard, const Slice& slice) {
+  void placeBatch(Shard& shard, const Batch& batch) {
     const bool capture = options.capturePlacements;
-    for (std::size_t i = 0; i < slice.count; ++i) {
-      const Time arrival = slice.arrivals[i];
-      drainShard(shard, arrival);
-      const Item item(slice.ids[i], slice.sizes[i], arrival,
-                      slice.departures[i]);
-      const Item announced(slice.ids[i], slice.sizes[i], arrival,
-                           slice.announcedDepartures[i]);
+    for (const Arrival& a : batch) {
+      drainShard(shard, a.arrival);
+      const Item item(a.id, a.size, a.arrival, a.departure);
+      const Item announced(a.id, a.size, a.arrival, a.announcedDeparture);
       Placement placed = shard.core.place(item, announced);
-      if (placed.openedNewBin) shard.opens.push_back({arrival, item.id});
+      if (placed.openedNewBin) shard.opens.push_back({a.arrival, item.id});
       if (capture) shard.placements.emplace_back(item.id, placed.bin);
     }
   }
@@ -407,7 +341,7 @@ struct ShardedSimulator::Impl {
     }
 
     dispatchEpoch();
-    for (auto& shard : shards) enqueue(*shard, nullptr);
+    closeRings();
     pool->wait();
     rethrowIfFailed();
 
@@ -470,7 +404,7 @@ struct ShardedSimulator::Impl {
     }
 
     Time totalUsage = 0;
-    std::size_t running = 0;
+    std::size_t openNow = 0;
     std::size_t maxOpen = 0;
     BinId nextGlobal = 0;
     for (const BinEvent& e : events) {
@@ -482,10 +416,10 @@ struct ShardedSimulator::Impl {
               nextGlobal;
         }
         ++nextGlobal;
-        ++running;
-        maxOpen = std::max(maxOpen, running);
+        ++openNow;
+        maxOpen = std::max(maxOpen, openNow);
       } else {
-        --running;
+        --openNow;
       }
     }
 

@@ -12,15 +12,15 @@
 // without a key (the global Any Fit family, the departure-fit ablations)
 // run as a single shard — same machinery, one worker.
 //
-// The feed thread batches arrivals into fixed-size epochs, packs each
-// epoch into arena-backed structure-of-arrays slices (one per shard, so a
-// worker walks contiguous ids/sizes/arrivals/departures), and hands the
-// slices to the workers through per-shard FIFO queues over the shared
-// ThreadPool. Epochs are a pipelining unit, not a barrier: shard A may be
-// epochs ahead of shard B, because nothing a shard does can affect another
-// shard's decisions. A bounded pool of epoch buffers throttles the feed
-// thread, keeping resident memory O(open state + epochs in flight), never
-// O(total items).
+// The feed thread appends each arrival, once, to its shard's batch for the
+// current epoch. Every epochArrivals arrivals it hands each non-empty
+// batch to its shard through a bounded single-producer/single-consumer
+// ring; each shard's worker loop places its batches in ring order. Epochs
+// are a pipelining unit, not a barrier: shard A may be epochs ahead of
+// shard B, because nothing a shard does can affect another shard's
+// decisions. The feed thread blocks only while the target shard's ring is
+// full, so resident memory is O(open state + shards x maxEpochsInFlight x
+// epochArrivals), never O(total items).
 //
 // Bit-identity (DESIGN.md §14): each shard drives its own PlacementCore
 // (sim/placement_core.hpp), the placement step StreamEngine drives, over
@@ -56,8 +56,9 @@ struct ShardedOptions {
   /// epochs amortize queue traffic; smaller ones bound latency and memory.
   std::size_t epochArrivals = 4096;
 
-  /// Epoch buffers in flight before the feed thread blocks — the pipeline
-  /// depth and the memory bound.
+  /// Epochs each shard may hold, queued or being placed, before the feed
+  /// thread blocks on it — the per-shard pipeline depth. Memory stays
+  /// O(shards x maxEpochsInFlight x epochArrivals) items.
   std::size_t maxEpochsInFlight = 4;
 
   /// Maintain the incremental Proposition 3 bound on the feed thread
