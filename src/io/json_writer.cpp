@@ -48,20 +48,26 @@ std::string jsonEscape(std::string_view s) {
 }
 
 std::string jsonDouble(double v) {
-  if (!std::isfinite(v)) return "null";
+  std::string out;
+  appendJsonDouble(out, v);
+  return out;
+}
+
+void appendJsonDouble(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   char buf[64];
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
   if (ec != std::errc()) {
     throw std::logic_error("jsonDouble: to_chars failed");
   }
-  std::string out(buf, ptr);
+  const std::string_view digits(buf, static_cast<std::size_t>(ptr - buf));
+  out += digits;
   // to_chars renders integral doubles bare ("3"); keep the floating type
   // visible so downstream schema readers see a stable type per field.
-  if (out.find_first_of(".eE") == std::string::npos &&
-      out.find("inf") == std::string::npos) {
-    out += ".0";
-  }
-  return out;
+  if (digits.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
 JsonWriter::JsonWriter(std::ostream& os, int indent)

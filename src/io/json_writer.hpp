@@ -34,6 +34,9 @@ std::string jsonEscape(std::string_view s);
 /// the JSON type of the field is stable across runs.
 std::string jsonDouble(double v);
 
+/// Appends jsonDouble(v) to `out` without a temporary string.
+void appendJsonDouble(std::string& out, double v);
+
 class JsonWriter {
  public:
   /// `indent` spaces per nesting level; 0 renders compact single-line JSON.

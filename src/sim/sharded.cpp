@@ -15,6 +15,7 @@
 #include "sim/placement_core.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -43,14 +44,15 @@ using Batch = std::vector<Arrival>;
 // What a shard's open/close log remembers per bin event; merged across
 // shards at finish() in (time, close-before-open, id) order to
 // reconstruct global bin ids, the global-order usage sum and maxOpenBins.
-struct OpenRec {
-  Time time;     // opening arrival instant
-  ItemId opener; // the item whose placement opened the bin
+struct BinLogRec {
+  Time time;    // the opening arrival or closing departure instant
+  ItemId item;  // the item whose placement opened / departure closed it
 };
-struct CloseRec {
-  Time time;    // closing departure instant
-  ItemId closer;
-};
+
+// The order every shard writes its logs in (see mergeShards()).
+bool logOrder(const BinLogRec& a, const BinLogRec& b) {
+  return a.time != b.time ? a.time < b.time : a.item < b.item;
+}
 
 }  // namespace
 
@@ -69,8 +71,8 @@ struct ShardedSimulator::Impl {
     const std::size_t index;
     PolicyPtr owned;  // clone (null in single-shard fallback)
     PlacementCore core;
-    std::vector<OpenRec> opens;  // local bin id -> open record
-    std::vector<CloseRec> closes;
+    std::vector<BinLogRec> opens;  // local bin id -> open record
+    std::vector<BinLogRec> closes;
     std::vector<std::pair<ItemId, BinId>> placements;  // capture mode
 
     // Feed-side only: this shard's arrivals of the epoch being filled.
@@ -365,35 +367,51 @@ struct ShardedSimulator::Impl {
   //   * maxOpenBins as the running open count sampled after each open
   //     (the single-pool count only grows at opens, and every open is
   //     sampled by its own arrival there too).
+  // Every log is already a sorted run: a shard's opens follow admission
+  // order, which ArrivalValidator makes (arrival, id) order, and its
+  // closes follow the departure heap's (time, id) pops, where an item fed
+  // later departs strictly after every departure already drained. So the
+  // merge walks 2 x shards cursors instead of sorting; every key is
+  // unique, so the order is the one a sort would give.
   void mergeShards() {
-    struct BinEvent {
+    struct Cursor {  // the next unmerged event of one shard's log
       Time time;
       ItemId item;
-      std::uint32_t shard;
-      BinId localBin;
       std::uint8_t kind;  // 0 = close, 1 = open: departures drain first
+      std::uint32_t shard;
+      std::size_t pos;
     };
-    std::size_t totalOpens = 0;
-    for (const auto& shard : shards) totalOpens += shard->opens.size();
+    auto later = [](const Cursor& a, const Cursor& b) {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.kind != b.kind) return a.kind > b.kind;
+      return a.item > b.item;
+    };
+    // Loads the event at `c.pos` of its log; false once the log is spent.
+    auto load = [this](Cursor& c) {
+      const Shard& shard = *shards[c.shard];
+      const std::vector<BinLogRec>& log = c.kind == 1 ? shard.opens
+                                                      : shard.closes;
+      if (c.pos == log.size()) return false;
+      c.time = log[c.pos].time;
+      c.item = log[c.pos].item;
+      return true;
+    };
 
-    std::vector<BinEvent> events;
-    events.reserve(2 * totalOpens);
+    std::vector<Cursor> heap;  // min-heap on (time, kind, item)
+    heap.reserve(2 * shards.size());
     for (const auto& shard : shards) {
-      auto s = static_cast<std::uint32_t>(shard->index);
-      for (std::size_t b = 0; b < shard->opens.size(); ++b) {
-        events.push_back({shard->opens[b].time, shard->opens[b].opener, s,
-                          static_cast<BinId>(b), 1});
-      }
-      for (const CloseRec& close : shard->closes) {
-        events.push_back({close.time, close.closer, s, kNewBin, 0});
+      CDBP_DCHECK(std::is_sorted(shard->opens.begin(), shard->opens.end(),
+                                 logOrder),
+                  "shard ", shard->index, " opened bins out of order");
+      CDBP_DCHECK(std::is_sorted(shard->closes.begin(), shard->closes.end(),
+                                 logOrder),
+                  "shard ", shard->index, " closed bins out of order");
+      for (std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1}}) {
+        Cursor c{0, 0, kind, static_cast<std::uint32_t>(shard->index), 0};
+        if (load(c)) heap.push_back(c);
       }
     }
-    std::sort(events.begin(), events.end(),
-              [](const BinEvent& a, const BinEvent& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.kind != b.kind) return a.kind < b.kind;
-                return a.item < b.item;
-              });
+    std::make_heap(heap.begin(), heap.end(), later);
 
     std::vector<std::vector<BinId>> localToGlobal;
     if (options.capturePlacements) {
@@ -407,19 +425,26 @@ struct ShardedSimulator::Impl {
     std::size_t openNow = 0;
     std::size_t maxOpen = 0;
     BinId nextGlobal = 0;
-    for (const BinEvent& e : events) {
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Cursor& e = heap.back();
       if (e.kind == 1) {
-        totalUsage += shards[e.shard]
-                          ->core.usageByBin()[static_cast<std::size_t>(e.localBin)];
+        const auto localBin = e.pos;  // opens are logged in local-id order
+        totalUsage += shards[e.shard]->core.usageByBin()[localBin];
         if (options.capturePlacements) {
-          localToGlobal[e.shard][static_cast<std::size_t>(e.localBin)] =
-              nextGlobal;
+          localToGlobal[e.shard][localBin] = nextGlobal;
         }
         ++nextGlobal;
         ++openNow;
         maxOpen = std::max(maxOpen, openNow);
       } else {
         --openNow;
+      }
+      ++e.pos;
+      if (load(e)) {
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        heap.pop_back();
       }
     }
 

@@ -52,6 +52,24 @@ TEST(JsonDouble, RoundTripsExactly) {
   }
 }
 
+TEST(JsonDouble, AppendMatchesAndKeepsPrefix) {
+  const double values[] = {0.0,   -0.0,  1.0,    -3.0,   0.1,
+                           1e22,  5e-324, 123456789.0, 1.0 / 3,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()};
+  std::string appended = "[";
+  std::string joined = "[";
+  for (double v : values) {
+    appendJsonDouble(appended, v);
+    appended += ',';
+    joined += jsonDouble(v) + ',';
+  }
+  EXPECT_EQ(appended, joined);
+  EXPECT_EQ(appended,
+            "[0.0,-0.0,1.0,-3.0,0.1,1e+22,5e-324,123456789.0,"
+            "0.3333333333333333,null,null,");
+}
+
 TEST(JsonWriter, GoldenNestedDocument) {
   std::ostringstream os;
   JsonWriter w(os, 2);
