@@ -13,8 +13,8 @@
 #include "offline/demand_chart.hpp"
 #include "offline/dual_coloring.hpp"
 #include "offline/xperiods.hpp"
-#include "sim/run_many.hpp"
-#include "sim/trace.hpp"
+#include "online/policy_factory.hpp"
+#include "sim/streaming.hpp"
 #include "telemetry/bench_report.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -117,25 +117,26 @@ int main(int argc, char** argv) {
   WorkloadSpec cdtSpec;
   cdtSpec.numItems = 60;
   cdtSpec.mu = 6.0;
-  // One-cell runMany grid; the parameter-free cdt-ff spec self-tunes to
-  // rho = sqrt(mu)*Delta of the generated instance, and captureTrace hands
-  // back the per-cell decision trace the stage decomposition reads.
-  RunManySpec cdtGrid;
-  cdtGrid.instances.push_back(
-      [cdtSpec](std::uint64_t seed) { return generateWorkload(cdtSpec, seed); });
-  cdtGrid.policies.emplace_back("cdt-ff");
-  cdtGrid.seeds = {8};
-  cdtGrid.captureTrace = true;
-  RunResult cdtRun = std::move(runMany(cdtGrid).front());
-  double delta = cdtRun.instance->minDuration();
-  double mu = cdtRun.instance->durationRatio();
+  // The parameter-free cdt-ff spec self-tunes to rho = sqrt(mu)*Delta of
+  // the generated instance; the stage decomposition reads each item's
+  // arrival and the Placement the StreamEngine returns for it.
+  Instance cdtInstance = generateWorkload(cdtSpec, 8);
+  PolicyPtr cdtPolicy =
+      makePolicy("cdt-ff", PolicyContext::forInstance(cdtInstance, 8));
+  double delta = cdtInstance.minDuration();
+  double mu = cdtInstance.durationRatio();
   double rho = std::sqrt(mu) * delta;
-  const DecisionTrace& traceLog = *cdtRun.trace;
 
   // Pick the busiest category and derive t1, t2, t3 from the definitions.
-  std::map<int, std::vector<PlacementRecord>> byCategory;
-  for (const PlacementRecord& r : traceLog.records()) {
-    byCategory[r.category].push_back(r);
+  struct Arrival {
+    Time time;
+    bool openedNewBin;
+  };
+  std::map<int, std::vector<Arrival>> byCategory;
+  StreamEngine cdtEngine(*cdtPolicy);
+  for (const Item& r : cdtInstance.sortedByArrival()) {
+    Placement placed = cdtEngine.place(r);
+    byCategory[placed.category].push_back({r.arrival(), placed.openedNewBin});
   }
   const auto* busiest = &*byCategory.begin();
   for (const auto& entry : byCategory) {
@@ -147,9 +148,9 @@ int main(int argc, char** argv) {
   double t3 = t - delta;
   double t2 = t3;  // if no second bin opens before t3
   std::size_t binsSeen = 0;
-  for (const PlacementRecord& r : busiest->second) {
-    if (r.openedNewBin && ++binsSeen == 2) {
-      t2 = std::min(std::max(r.time, t1), t3);
+  for (const Arrival& a : busiest->second) {
+    if (a.openedNewBin && ++binsSeen == 2) {
+      t2 = std::min(std::max(a.time, t1), t3);
       break;
     }
   }

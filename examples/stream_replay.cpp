@@ -1,8 +1,8 @@
 // Streaming trace replay: pull a cdbp-trace file through the
 // bounded-memory simulator (sim/streaming.hpp) without ever holding the
-// whole workload in RAM. The counterpart of trace_replay for traces larger
-// than memory — and a demonstration that the stream reproduces the batch
-// simulator's numbers exactly (DESIGN.md §11).
+// whole workload in RAM, so traces larger than memory replay too — and a
+// demonstration that the stream reproduces the batch simulator's numbers
+// exactly (DESIGN.md §11).
 //
 // With no --trace flag the example exports a demo trace first, so it runs
 // out of the box:

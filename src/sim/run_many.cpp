@@ -76,10 +76,6 @@ std::vector<RunResult> runMany(const RunManySpec& spec) {
     SimOptions options;
     options.engine = spec.engine;
     options.shardedThreads = spec.shardedThreads;
-    if (spec.captureTrace) {
-      result.trace = std::make_shared<DecisionTrace>();
-      options.trace = result.trace.get();
-    }
     result.sim = simulateOnline(*input.instance, *policy, options);
     result.policyName = policy->name();
     result.ratio = result.lb3 > 0 ? result.sim.totalUsage / result.lb3 : 1.0;

@@ -14,7 +14,7 @@
 //    --threads N is element-wise identical.
 //
 //  * Telemetry isolation: everything attributable to a run — the policy
-//    instance, its DecisionTrace, the SimOptions — is private to the cell.
+//    instance, the SimOptions, the SimResult — is private to the cell.
 //    The global metrics Registry is process-wide by design (relaxed-atomic
 //    counters are cheap precisely because they are shared), so registry
 //    counters aggregate across concurrent cells; read them as fleet
@@ -35,7 +35,6 @@
 #include "core/instance.hpp"
 #include "online/policy_factory.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace cdbp {
 
@@ -73,8 +72,6 @@ struct RunManySpec {
   std::size_t shardedThreads = 1;
   /// Compute the Proposition 3 lower bound (and ratio) per instance.
   bool computeLowerBound = true;
-  /// Attach a per-cell DecisionTrace to each result.
-  bool captureTrace = false;
   /// Fixed PolicyContext for spec instantiation. When unset, each cell
   /// derives PolicyContext::forInstance(instance, seed) — specs with
   /// context defaults then self-tune to the instance they run on.
@@ -96,8 +93,6 @@ struct RunResult {
   double lb3 = 0;
   /// sim.totalUsage / lb3 (1 when the bound is 0 or disabled).
   double ratio = 1;
-  /// Per-cell decision trace (null unless captureTrace).
-  std::shared_ptr<DecisionTrace> trace;
 };
 
 /// Runs the full grid; returns instances.size() * policies.size() *

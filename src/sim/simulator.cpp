@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "sim/sharded.hpp"
@@ -14,11 +13,6 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
   // (dense) item ids, so binOf indexes straight into the Packing and
   // simultaneous departures tie-break on instance ids.
   if (options.engine == PlacementEngine::kSharded) {
-    if (options.trace != nullptr || options.chromeTrace != nullptr) {
-      throw std::invalid_argument(
-          "simulateOnline: the sharded engine does not produce decision or "
-          "chrome traces; use kIndexed for trace runs");
-    }
     ShardedOptions shardedOptions;
     shardedOptions.threads = options.shardedThreads;
     shardedOptions.announce = options.announce;
@@ -41,23 +35,14 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
   StreamOptions streamOptions;
   streamOptions.engine = options.engine;
   streamOptions.announce = options.announce;
-  streamOptions.chromeTrace = options.chromeTrace;
   streamOptions.computeLowerBound = false;
   StreamEngine engine(policy, streamOptions);
   std::vector<BinId> binOf(instance.size(), kUnassigned);
   for (const Item& r : instance.sortedByArrival()) {
-    Placement placed = engine.place(r);
-    binOf[r.id] = placed.bin;
-    if (options.trace) {
-      options.trace->record({r.id, r.arrival(), placed.bin,
-                             placed.openedNewBin, placed.category,
-                             placed.openBinsBefore, placed.binLevelBefore});
-    }
+    binOf[r.id] = engine.place(r).bin;
   }
   // Departures after the last arrival cannot change a placement, and the
-  // Packing carries the usage, so the engine drains them (finish()) only
-  // when a chrome trace wants its open-bin series to close at zero.
-  if (options.chromeTrace) engine.finish();
+  // Packing carries the usage, so the engine is never drained (finish()).
 
   SimResult result;
   result.packing = Packing(instance, std::move(binOf));

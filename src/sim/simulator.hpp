@@ -13,8 +13,6 @@
 #include "core/instance.hpp"
 #include "core/packing.hpp"
 #include "online/policy.hpp"
-#include "sim/trace.hpp"
-#include "telemetry/chrome_trace.hpp"
 
 namespace cdbp {
 
@@ -31,20 +29,8 @@ struct SimOptions {
   /// this.
   std::function<Item(const Item&)> announce;
 
-  /// When set, every placement decision is appended here (see trace.hpp).
-  DecisionTrace* trace = nullptr;
-
-  /// When set, the run is recorded as a chrome://tracing timeline: one
-  /// complete event per item on its bin's row plus an open-bin counter
-  /// series (DESIGN.md §8.2). Always available, independent of the
-  /// CDBP_TELEMETRY toggle — this is an explicitly requested artifact, not
-  /// ambient instrumentation.
-  telemetry::ChromeTrace* chromeTrace = nullptr;
-
   /// Worker threads for engine == kSharded (0 picks the hardware
-  /// concurrency); ignored by the other engines. The sharded engine
-  /// rejects `trace` and `chromeTrace`: per-decision artifacts are a
-  /// single-timeline notion, use kIndexed for those runs.
+  /// concurrency); ignored by the other engines.
   std::size_t shardedThreads = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 #include "io/json_writer.hpp"
 #include "telemetry/clock.hpp"
@@ -15,6 +16,21 @@ namespace {
 #ifndef CDBP_GIT_SHA
 #define CDBP_GIT_SHA "unknown"
 #endif
+
+// The first "model name" in /proc/cpuinfo; "unknown" where there is none
+// (non-Linux hosts, some ARM kernels).
+std::string cpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
 
 void writeHistogram(const HistogramSnapshot& hs, JsonWriter& w) {
   w.beginObject();
@@ -119,6 +135,8 @@ void BenchReport::write(std::ostream& os) const {
   w.key("bench").value(benchName_);
   w.key("git_sha").value(CDBP_GIT_SHA);
   w.key("telemetry_enabled").value(kEnabled);
+  w.key("nproc").value(std::thread::hardware_concurrency());
+  w.key("cpu_model").value(cpuModel());
   w.key("timestamp_unix_us").value(timestampUnixMicros_);
 
   w.key("params").beginObject();

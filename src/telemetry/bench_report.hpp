@@ -10,7 +10,9 @@
 //   {
 //     "schema": "cdbp-bench-report", "schema_version": 1,
 //     "bench": "<name>", "git_sha": "<configure-time sha|unknown>",
-//     "telemetry_enabled": bool, "timestamp_unix_us": int,
+//     "telemetry_enabled": bool, "nproc": int,
+//     "cpu_model": "<first /proc/cpuinfo model name|unknown>",
+//     "timestamp_unix_us": int,
 //     "params": { "<flag>": string|number|bool, ... },
 //     "timings": [ { "name", "items_per_rep", "reps",
 //                    "seconds": {mean,stddev,min,max,p50,p90},

@@ -321,18 +321,12 @@ TEST(ShardedEngine, RejectsTraceArtifacts) {
   PolicyContext context = PolicyContext::forInstance(inst);
   PolicyPtr policy = makePolicy("cdt-ff", context);
 
-  SimOptions withTrace;
-  withTrace.engine = PlacementEngine::kSharded;
-  DecisionTrace trace;
-  withTrace.trace = &trace;
-  EXPECT_THROW(simulateOnline(inst, *policy, withTrace),
-               std::invalid_argument);
-
-  SimOptions withChrome;
+  StreamOptions withChrome;
   withChrome.engine = PlacementEngine::kSharded;
   telemetry::ChromeTrace chrome;
   withChrome.chromeTrace = &chrome;
-  EXPECT_THROW(simulateOnline(inst, *policy, withChrome),
+  InstanceArrivalSource chromeSource(inst);
+  EXPECT_THROW(simulateStream(chromeSource, *policy, withChrome),
                std::invalid_argument);
 
   StreamOptions withCallback;

@@ -1,6 +1,6 @@
 // runMany contract tests: grid ordering, determinism across thread
-// counts, shared lower bounds, per-cell trace capture, and error
-// propagation out of worker threads.
+// counts, shared lower bounds, and error propagation out of worker
+// threads.
 #include "sim/run_many.hpp"
 
 #include <gtest/gtest.h>
@@ -99,32 +99,6 @@ TEST(RunMany, LowerBoundCanBeDisabled) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].lb3, 0.0);
   EXPECT_EQ(results[0].ratio, 1.0);
-}
-
-TEST(RunMany, CapturesPerCellDecisionTraces) {
-  RunManySpec spec;
-  spec.instances = {generator(35, 4.0)};
-  spec.policies = {"ff", "cdt-ff"};
-  spec.seeds = {9, 10};
-  spec.captureTrace = true;
-  std::vector<RunResult> results = runMany(spec);
-  ASSERT_EQ(results.size(), 4u);
-  for (const RunResult& run : results) {
-    ASSERT_NE(run.trace, nullptr);
-    EXPECT_EQ(run.trace->records().size(), run.instance->size());
-  }
-  // Traces are per-cell objects, not shared.
-  EXPECT_NE(results[0].trace.get(), results[1].trace.get());
-}
-
-TEST(RunMany, TraceIsNullWhenNotRequested) {
-  RunManySpec spec;
-  spec.instances = {generator(20, 4.0)};
-  spec.policies = {"ff"};
-  spec.seeds = {1};
-  std::vector<RunResult> results = runMany(spec);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].trace, nullptr);
 }
 
 TEST(RunMany, EnginesProduceIdenticalResults) {

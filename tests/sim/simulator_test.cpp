@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "online/any_fit.hpp"
-#include "sim/trace.hpp"
+#include "sim/streaming.hpp"
 #include "workload/generators.hpp"
 
 namespace cdbp {
@@ -149,7 +149,8 @@ TEST(Simulator, CategoriesUsedCountsDistinctTags) {
 // different floating-point residue in bin 0 (0.29999999999999993 instead
 // of 0.3) for item 4, which arrives at t = 6, to read. The announce hook
 // shifts departures by one, and that shift moves items 0 and 5 into
-// category 1.
+// category 1. The per-decision table is read from the Placements a
+// StreamEngine returns when fed the same items and the same hook.
 class SimulatorNonCanonicalIds
     : public ::testing::TestWithParam<PlacementEngine> {};
 
@@ -177,14 +178,13 @@ TEST_P(SimulatorNonCanonicalIds, KeepsInstanceIdsEndToEnd) {
   } policy;
 
   std::vector<ItemId> announced;
-  DecisionTrace trace;
-  SimOptions options;
-  options.engine = GetParam();
-  options.trace = &trace;
-  options.announce = [&announced](const Item& r) {
+  auto announce = [&announced](const Item& r) {
     announced.push_back(r.id);
     return Item(r.id, r.size, r.arrival(), r.departure() + 1);
   };
+  SimOptions options;
+  options.engine = GetParam();
+  options.announce = announce;
   SimResult result = simulateOnline(inst, policy, options);
 
   EXPECT_EQ(announced, (std::vector<ItemId>{3, 5, 2, 1, 0, 4, 6, 7}));
@@ -209,17 +209,26 @@ TEST_P(SimulatorNonCanonicalIds, KeepsInstanceIdsEndToEnd) {
       {0, 2, true, 1, 2, 0.0},  {4, 0, false, 0, 3, 0.3},
       {6, 0, false, 0, 3, 0.55}, {7, 3, true, 0, 3, 0.0},
   };
-  ASSERT_EQ(trace.size(), expected.size());
+  announced.clear();
+  StreamOptions streamOptions;
+  streamOptions.engine = GetParam();
+  streamOptions.announce = announce;
+  StreamEngine engine(policy, streamOptions);
+  std::vector<Placement> placements;
+  for (const Item& r : inst.sortedByArrival()) {
+    placements.push_back(engine.place(r));
+  }
+  EXPECT_EQ(announced, (std::vector<ItemId>{3, 5, 2, 1, 0, 4, 6, 7}));
+  ASSERT_EQ(placements.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    const PlacementRecord& record = trace.records()[i];
+    const Placement& placed = placements[i];
     SCOPED_TRACE(i);
-    EXPECT_EQ(record.item, expected[i].item);
-    EXPECT_EQ(record.time, inst[expected[i].item].arrival());
-    EXPECT_EQ(record.bin, expected[i].bin);
-    EXPECT_EQ(record.openedNewBin, expected[i].opened);
-    EXPECT_EQ(record.category, expected[i].category);
-    EXPECT_EQ(record.openBins, expected[i].openBins);
-    EXPECT_EQ(record.binLevelBefore, expected[i].levelBefore);
+    EXPECT_EQ(placed.item, expected[i].item);
+    EXPECT_EQ(placed.bin, expected[i].bin);
+    EXPECT_EQ(placed.openedNewBin, expected[i].opened);
+    EXPECT_EQ(placed.category, expected[i].category);
+    EXPECT_EQ(placed.openBinsBefore, expected[i].openBins);
+    EXPECT_EQ(placed.binLevelBefore, expected[i].levelBefore);
   }
 }
 

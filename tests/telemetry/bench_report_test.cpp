@@ -33,6 +33,8 @@ TEST(BenchReport, DocumentHasSchemaHeader) {
   EXPECT_NE(out.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"bench\": \"unit\""), std::string::npos);
   EXPECT_NE(out.find("\"git_sha\""), std::string::npos);
+  EXPECT_NE(out.find("\"nproc\": "), std::string::npos) << out;
+  EXPECT_NE(out.find("\"cpu_model\": \""), std::string::npos) << out;
   EXPECT_NE(out.find("\"registry\""), std::string::npos);
   EXPECT_EQ(out.back(), '\n');
 }

@@ -11,6 +11,7 @@
 #include "online/any_fit.hpp"
 #include "online/classify_departure.hpp"
 #include "sim/simulator.hpp"
+#include "sim/streaming.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/registry.hpp"
@@ -144,10 +145,11 @@ TEST(TelemetryInstrumentation, FitChecksCountPolicyQueriesOnly) {
 TEST(TelemetryInstrumentation, SimulatorEmitsChromeTrace) {
   Instance inst = smallWorkload(20);
   telemetry::ChromeTrace trace;
-  SimOptions options;
+  StreamOptions options;
   options.chromeTrace = &trace;
   FirstFitPolicy ff;
-  simulateOnline(inst, ff, options);
+  InstanceArrivalSource source(inst);
+  simulateStream(source, ff, options);
   // One complete event per item plus counter samples and bin metadata —
   // trace emission is independent of the CDBP_TELEMETRY metric toggle.
   EXPECT_GE(trace.eventCount(), inst.size());
@@ -158,13 +160,14 @@ TEST(TelemetryInstrumentation, SimulatorEmitsChromeTrace) {
 }
 
 TEST(TelemetryInstrumentation, OpenBinsGaugeIsZeroAfterDrain) {
-  // Tracing drains the departure queue at end of run, closing every bin.
+  // A stream drains the departure queue at end of run, closing every bin.
   Instance inst = smallWorkload();
   telemetry::ChromeTrace trace;
-  SimOptions options;
+  StreamOptions options;
   options.chromeTrace = &trace;
   FirstFitPolicy ff;
-  simulateOnline(inst, ff, options);
+  InstanceArrivalSource source(inst);
+  simulateStream(source, ff, options);
   RegistrySnapshot snap = Registry::global().snapshot();
   for (const auto& [name, g] : snap.gauges) {
     if (name == "sim.open_bins") {
